@@ -33,5 +33,9 @@ class PreconditionViolated(SpatialVoteError):
     """A structural precondition of a reduction or algorithm does not hold."""
 
 
+class UnknownCandidate(SpatialVoteError):
+    """No candidate of the profile has the requested id."""
+
+
 class InvalidInstance(SpatialVoteError):
     """An instance document failed to parse or validate."""

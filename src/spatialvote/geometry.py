@@ -12,11 +12,13 @@ the lower-indexed candidate of its pair, so points on the hyperplane fall in
 the face whose ranking matches index tie-breaking.  Two faces produced this
 way never share a point.
 
-Note on tie-point counting: with index tie-breaking, the ranking at a 1D tie
-point equals the ranking of the sub-interval to its left, so probing the tie
-points never produces a ranking beyond the interval representatives.  The
-probes are kept anyway so boundary-only rankings cannot be missed if the box
-starts or ends exactly on a tie point.
+Note on tie-point probes: a 1D tie point can carry a ranking that neither
+neighbouring sub-interval has.  With candidates at 0, 4, 2, 6 (indices 0-3)
+the ranking is (2, 1, 0, 3) just left of x=3, (1, 2, 0, 3) at x=3 and
+(1, 2, 3, 0) just right of it.  When candidate indices follow position
+order, as `PartialSpatialProfile` arranges in d=1, a tie point does repeat
+the ranking to its left; `enumerate_rankings_1d` takes arbitrary candidate
+sequences, so it probes every tie point inside the interval.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch
 from .lfp import InequalitySystem, LinearInequality, feasible
@@ -49,17 +51,14 @@ class Hyperplane:
         """The nonstrict side containing (and tying toward) the lower-indexed candidate."""
         return LinearInequality(self.coeffs, self.constant, strict=False)
 
-    def open_side(self) -> LinearInequality:
-        """The strict side containing the higher-indexed candidate."""
-        return self.closed_side().negation()
-
 
 @dataclass(frozen=True)
 class Face:
-    """A region of R^d given by linear inequalities, possibly over-specified."""
+    """A region of R^d given by linear inequalities, possibly over-specified,
+    with a point that lies in it."""
 
     inequalities: tuple[LinearInequality, ...]
-    witness: Optional[SpatialPoint] = None
+    witness: SpatialPoint
 
 
 @dataclass(frozen=True)
@@ -123,39 +122,46 @@ def bisectors(candidates: Sequence[Candidate]) -> list[Hyperplane]:
     return planes
 
 
-def _trivial_inequality(dimension: int) -> LinearInequality:
-    return LinearInequality((Fraction(0),) * dimension, Fraction(0), strict=False)
+def _split_faces(
+    dimension: int,
+    seed: tuple[LinearInequality, ...],
+    witness: SpatialPoint,
+    sides: Sequence[LinearInequality],
+) -> list[tuple[tuple[LinearInequality, ...], SpatialPoint]]:
+    """Faces of the arrangement of `sides` inside the seed region, with witnesses.
 
-
-def _intersects(
-    dimension: int, inequalities: tuple[LinearInequality, ...], plane: Hyperplane
-) -> Optional[SpatialPoint]:
-    """A point of the face lying exactly on `plane`, or None."""
-    on_plane = (
-        LinearInequality(plane.coeffs, plane.constant, strict=False),
-        LinearInequality(tuple(-a for a in plane.coeffs), -plane.constant, strict=False),
-    )
-    return feasible(InequalitySystem(dimension, inequalities + on_plane))
+    Each side is a hyperplane's closed side.  Every face it crosses is split:
+    the closed part stays in place, witnessed by a point on the hyperplane,
+    and the open part, if nonempty, is appended.  `witness` must lie in the
+    seed region; it stays the seed face's witness until a side crosses it.
+    """
+    faces = [(seed, witness)]
+    for closed in sides:
+        opened = closed.negation()
+        on_plane = (closed, LinearInequality(opened.coeffs, opened.constant, strict=False))
+        added = []
+        for idx, (ineqs, _) in enumerate(faces):
+            point = feasible(InequalitySystem(dimension, ineqs + on_plane))
+            if point is None:
+                continue
+            open_wit = feasible(InequalitySystem(dimension, ineqs + (opened,)))
+            faces[idx] = (ineqs + (closed,), point)
+            if open_wit is not None:
+                added.append((ineqs + (opened,), open_wit))
+        faces.extend(added)
+    return faces
 
 
 def specify_faces(hyperplanes: Sequence[Hyperplane], dimension: int) -> list[Face]:
     """Incremental face construction over a hyperplane arrangement.
 
-    Starts from the trivial all-of-R^d face and splits every face crossed by
-    each hyperplane in turn into its closed and open sides.  The output size
-    is bounded by sum_{i<=d} C(|H|, i).
+    Starts from all of R^d, witnessed by the origin, and splits every face
+    crossed by each hyperplane in turn into its closed and open sides.  The
+    output size is bounded by sum_{i<=d} C(|H|, i).
     """
-    faces: list[tuple[LinearInequality, ...]] = [(_trivial_inequality(dimension),)]
-    for plane in hyperplanes:
-        added = []
-        for idx, ineqs in enumerate(faces):
-            if _intersects(dimension, ineqs, plane) is not None:
-                faces[idx] = ineqs + (plane.closed_side(),)
-                open_side = ineqs + (plane.open_side(),)
-                if feasible(InequalitySystem(dimension, open_side)) is not None:
-                    added.append(open_side)
-        faces.extend(added)
-    return [Face(ineqs) for ineqs in faces]
+    origin = (Fraction(0),) * dimension
+    sides = [plane.closed_side() for plane in hyperplanes]
+    return [Face(ineqs, wit) for ineqs, wit in _split_faces(dimension, (), origin, sides)]
 
 
 def box_inequalities(box: VoterBox) -> list[LinearInequality]:
@@ -170,11 +176,11 @@ def box_inequalities(box: VoterBox) -> list[LinearInequality]:
 
 
 def _restrict_to_free_dims(
-    coeffs: Sequence[Fraction], constant: Fraction, free: Sequence[int], fixed: dict[int, Fraction]
-) -> tuple[tuple[Fraction, ...], Fraction]:
+    q: LinearInequality, free: Sequence[int], fixed: dict[int, Fraction]
+) -> LinearInequality:
     """Substitute the fixed coordinates, leaving coefficients on free dims."""
-    const = constant - sum(coeffs[i] * v for i, v in fixed.items())
-    return tuple(coeffs[i] for i in free), const
+    const = q.constant - sum(q.coeffs[i] * v for i, v in fixed.items())
+    return LinearInequality(tuple(q.coeffs[i] for i in free), const, q.strict)
 
 
 def enumerate_rankings_dd(
@@ -182,9 +188,8 @@ def enumerate_rankings_dd(
 ) -> list[RankingWithWitness]:
     """All distinct ranking completions of a d-dimensional box, with witnesses.
 
-    Splits faces with the same closed/open convention as `specify_faces`, but
-    seeds the construction with the box inequalities so only faces meeting
-    the box are ever materialized, and works in the box's non-degenerate
+    Runs the `specify_faces` construction seeded with the box, so only faces
+    meeting the box are ever materialized, and in the box's non-degenerate
     dimensions only.  The resulting ranking set is identical to intersecting
     the full-space faces with the box afterwards.
     """
@@ -199,46 +204,19 @@ def enumerate_rankings_dd(
 
     free = [i for i, (lo, hi) in enumerate(box.bounds) if lo < hi]
     fixed = {i: lo for i, (lo, hi) in enumerate(box.bounds) if lo == hi}
-    e = len(free)
 
-    seed = []
-    for pos, i in enumerate(free):
-        lo, hi = box.bounds[i]
-        unit = tuple(Fraction(int(j == pos)) for j in range(e))
-        seed.append(LinearInequality(unit, hi, strict=False))
-        seed.append(LinearInequality(tuple(-u for u in unit), -lo, strict=False))
+    def restrict(rows: Sequence[LinearInequality]) -> tuple[LinearInequality, ...]:
+        # a row without free coefficients is constant over the box and splits nothing
+        restricted = (_restrict_to_free_dims(q, free, fixed) for q in rows)
+        return tuple(q for q in restricted if any(q.coeffs))
 
-    # faces in the free subspace, each carried with a known interior witness
-    start = feasible(InequalitySystem(e, tuple(seed)))
-    assert start is not None
-    faces: list[tuple[tuple[LinearInequality, ...], SpatialPoint]] = [(tuple(seed), start)]
-
-    for plane in bisectors(candidates):
-        coeffs, const = _restrict_to_free_dims(plane.coeffs, plane.constant, free, fixed)
-        if all(a == 0 for a in coeffs):
-            continue  # the plane is parallel to every free direction
-        closed = LinearInequality(coeffs, const, strict=False)
-        opened = closed.negation()
-        added = []
-        for idx, (ineqs, wit) in enumerate(faces):
-            on_plane = feasible(
-                InequalitySystem(
-                    e,
-                    ineqs
-                    + (closed, LinearInequality(tuple(-a for a in coeffs), -const, strict=False)),
-                )
-            )
-            if on_plane is None:
-                continue
-            open_wit = feasible(InequalitySystem(e, ineqs + (opened,)))
-            faces[idx] = (ineqs + (closed,), on_plane)
-            if open_wit is not None:
-                added.append((ineqs + (opened,), open_wit))
-        faces.extend(added)
+    seed = restrict(box_inequalities(box))
+    centre = tuple((box.bounds[i][0] + box.bounds[i][1]) / 2 for i in free)
+    sides = restrict([plane.closed_side() for plane in bisectors(candidates)])
 
     out: list[RankingWithWitness] = []
     seen: set[Ranking] = set()
-    for _, wit in faces:
+    for _, wit in _split_faces(len(free), seed, centre, sides):
         full = _lift(wit, free, fixed, d)
         r = rank_from_point(full, candidates)
         if r not in seen:

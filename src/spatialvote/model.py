@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, RuleUndefinedAtM
+from .errors import DimensionMismatch, RuleUndefinedAtM, UnknownCandidate
 
 #: Exact rational scalar used for every coordinate and coefficient.
 Rational = Fraction
@@ -127,7 +127,7 @@ class PartialSpatialProfile:
         for i, c in enumerate(self.candidates):
             if c.id == candidate_id:
                 return i
-        raise KeyError(candidate_id)
+        raise UnknownCandidate(f"no candidate with id {candidate_id!r}")
 
     def with_voters(self, voters: Iterable[VoterBox]) -> "PartialSpatialProfile":
         return PartialSpatialProfile(self.dimension, self.candidates, tuple(voters))

@@ -12,26 +12,20 @@ back to the exhaustive oracle behind an explicit opt-in flag.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import oracle
-from .errors import (
-    DimensionMismatch,
-    InstanceTooLarge,
-    NoPolynomialAlgorithm,
-    RuleMismatch,
-)
-from .geometry import ranking_completions, rank_from_point, tie_points_1d
+from .errors import DimensionMismatch, NoPolynomialAlgorithm, RuleMismatch
+from .geometry import ranking_completions
 from .model import (
     Candidate,
     PartialSpatialProfile,
     ScoringRule,
     VoterBox,
     canonical_vector,
+    rank_from_point,  # noqa: F401 -- unused, kept because perfbench/tracer.py patches it
     realize_score_vector,
 )
 from .scheduling import Job, SchedulingInstance, feasible_equal_length
@@ -180,46 +174,6 @@ def pw_weighted_veto_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: in
     return True
 
 
-def _admissible_subboxes(
-    candidates: tuple[Candidate, ...], voter: VoterBox, c: int, t: int
-) -> list[tuple[Fraction, Fraction]]:
-    """Maximal closed sub-intervals of the voter's box on which `c` stays out
-    of the bottom t positions, covering exactly the admissible rankings."""
-    m = len(candidates)
-    lo, hi = voter.bounds[0]
-
-    def admits(x: Fraction) -> bool:
-        return rank_from_point((x,), candidates).index(c) < m - t
-
-    if lo == hi:
-        return [(lo, lo)] if admits(lo) else []
-
-    breaks = sorted({lo, hi} | set(tie_points_1d(candidates, (lo, hi))))
-    # alternating pieces: point, open interval, point, ... each with one ranking
-    pieces: list[tuple[Fraction, Fraction, bool]] = []  # (left, right, admissible)
-    for a, b in zip(breaks, breaks[1:]):
-        mid = (a + b) / 2
-        pieces.append((a, a, admits(a)))
-        pieces.append((mid, mid, admits(mid)))
-    pieces.append((breaks[-1], breaks[-1], admits(breaks[-1])))
-
-    intervals: list[tuple[Fraction, Fraction]] = []
-    run_start = None
-    run_end = None
-    for left, right, ok in pieces:
-        if ok:
-            if run_start is None:
-                run_start = left
-            run_end = right
-        else:
-            if run_start is not None:
-                intervals.append((run_start, run_end))
-                run_start = run_end = None
-    if run_start is not None:
-        intervals.append((run_start, run_end))
-    return intervals
-
-
 def pw_fkt_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool:
     """Possible winner under F(k, t) with k > t in one dimension.
 
@@ -227,6 +181,16 @@ def pw_fkt_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool
     plain k-approval.  An edge candidate must additionally never score zero,
     so each voter's box is first shrunk to the region where the candidate
     stays out of the bottom t positions.
+
+    That region is a single interval, so shrinking the box to the span of
+    the witnesses of its admissible rankings keeps exactly those rankings.
+    Proof: each rival r ranks above c on a ray of ideal points (ties at the
+    r-c midpoint go by index).  If r sits left of c, the ray comes from
+    -infinity and ends at the midpoint, before c's position; if r sits right
+    of c, the ray starts after c's position.  So the number of rivals above
+    c is non-increasing up to c's position and non-decreasing after it, and
+    each of its sublevel sets, "fewer than m - t rivals above c" among them,
+    is an interval.
     """
     _require_1d(profile)
     if rule.kind != "fkt":
@@ -239,27 +203,17 @@ def pw_fkt_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool
     if t <= c <= m - t - 1:
         return pw_two_valued_1d(profile, k, c)
 
-    per_voter = []
+    voters = []
     for voter in profile.voters:
-        subs = _admissible_subboxes(profile.candidates, voter, c, t)
-        if not subs:
+        xs = [
+            rw.witness[0]
+            for rw in ranking_completions(profile.candidates, voter)
+            if rw.ranking.index(c) < m - t
+        ]
+        if not xs:
             return False
-        per_voter.append(subs)
-    combos = 1
-    for subs in per_voter:
-        combos *= len(subs)
-    if combos > 4096:
-        raise InstanceTooLarge(
-            f"{combos} sub-interval combinations in the F(k,t) edge case"
-        )
-    for choice in itertools.product(*per_voter):
-        voters = tuple(
-            VoterBox(v.id, ((lo, hi),))
-            for v, (lo, hi) in zip(profile.voters, choice)
-        )
-        if pw_two_valued_1d(profile.with_voters(voters), k, c):
-            return True
-    return False
+        voters.append(VoterBox(voter.id, ((min(xs), max(xs)),)))
+    return pw_two_valued_1d(profile.with_voters(voters), k, c)
 
 
 # ---------------------------------------------------------------------------

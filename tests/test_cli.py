@@ -181,3 +181,12 @@ class TestExitCodes:
     def test_unknown_voter(self, capsys):
         code, _, err = run(capsys, "rankings", "--instance", ELECTION, "--voter", "nobody")
         assert code == 1 and json.loads(err)["error"]["type"] == "InvalidInstance"
+
+    @pytest.mark.parametrize("command", ["pw", "nw"])
+    def test_unknown_candidate(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--instance", ELECTION, "--rule", "plurality", "--candidate", "nope"
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "UnknownCandidate" and "'nope'" in error["message"]

@@ -47,10 +47,18 @@ class TestTiePoints:
 
 class TestEnumerate1D:
     CANDS = (Candidate("a", (1,)), Candidate("b", (2,)), Candidate("c", (3,)))
+    # indices out of position order: the tie point x=3 has a ranking of its own
+    UNSORTED = tuple(Candidate(f"c{i}", (x,)) for i, x in enumerate((0, 4, 2, 6)))
 
     def test_reference_instance(self):
         out = enumerate_rankings_1d(self.CANDS, (Fraction(1), Fraction(3)))
         assert [rw.ranking for rw in out] == [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)]
+        out = enumerate_rankings_1d(self.UNSORTED, (Fraction(5, 2), Fraction(7, 2)))
+        assert [(rw.ranking, rw.witness[0]) for rw in out] == [
+            ((2, 1, 0, 3), Fraction(5, 2)),
+            ((1, 2, 0, 3), Fraction(3)),
+            ((1, 2, 3, 0), Fraction(13, 4)),
+        ]
 
     def test_point_interval(self):
         out = enumerate_rankings_1d(self.CANDS, (Fraction(2), Fraction(2)))
@@ -58,12 +66,13 @@ class TestEnumerate1D:
 
     def test_witnesses_certify_their_rankings(self):
         rng = random.Random(11)
+        cases = [(self.UNSORTED, (Fraction(0), Fraction(6)))]
         for _ in range(50):
             profile = random_profile_1d(rng, rng.randint(2, 6), 1)
-            out = enumerate_rankings_1d(profile.candidates, profile.voters[0].bounds[0])
-            lo, hi = profile.voters[0].bounds[0]
-            for rw in out:
-                assert rank_from_point(rw.witness, profile.candidates) == rw.ranking
+            cases.append((profile.candidates, profile.voters[0].bounds[0]))
+        for candidates, (lo, hi) in cases:
+            for rw in enumerate_rankings_1d(candidates, (lo, hi)):
+                assert rank_from_point(rw.witness, candidates) == rw.ranking
                 assert lo <= rw.witness[0] <= hi
 
     def test_ranking_count_bound(self):

@@ -23,6 +23,7 @@ from spatialvote import (
     route_for,
 )
 from spatialvote.errors import DimensionMismatch
+from spatialvote.geometry import ranking_completions, tie_points_1d
 from spatialvote.winners import approval_windows_1d, restrict_profile
 
 
@@ -126,6 +127,30 @@ class TestFkt1D:
             expected = brute_pw(profile, rule)
             for c in range(m):
                 assert pw_fkt_1d(profile, rule, c) == (c in expected)
+
+    def test_admissible_region_is_one_interval(self):
+        # pw_fkt_1d shrinks each box to the span of its admissible witnesses;
+        # that keeps exactly the admissible rankings only if they form one interval
+        rng = random.Random(71)
+        for _ in range(60):
+            m = rng.randint(3, 7)
+            profile = random_profile_1d(rng, m, 3)
+            ties = tie_points_1d(profile.candidates, (Fraction(-8), Fraction(8)))
+            boxes = list(profile.voters)
+            for i, x in enumerate(rng.sample(ties, min(3, len(ties)))):
+                other = Fraction(rng.randint(-8, 8))
+                boxes.append(VoterBox(f"tie{i}", ((min(x, other), max(x, other)),)))
+            for box in boxes:
+                completions = ranking_completions(profile.candidates, box)
+                for c in range(m):
+                    for t in range(1, m):
+                        admissible = [rw for rw in completions if rw.ranking.index(c) < m - t]
+                        if not admissible:
+                            continue
+                        xs = [rw.witness[0] for rw in admissible]
+                        shrunk = VoterBox(box.id, ((min(xs), max(xs)),))
+                        kept = ranking_completions(profile.candidates, shrunk)
+                        assert {rw.ranking for rw in kept} == {rw.ranking for rw in admissible}
 
 
 class TestFlows:
