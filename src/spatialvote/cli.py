@@ -27,14 +27,13 @@ from .geometry import bisectors, ranking_completions, specify_faces
 from .model import (
     Candidate,
     PartialSpatialProfile,
-    ScoringRule,
     VoterBox,
     as_rational,
     rule_from_text,
     rule_to_text,
 )
 from .scheduling import Job, SchedulingInstance, reduce_scheduling_to_pw
-from .winners import necessary_winner, possible_winner, route_for
+from .winners import necessary_winner, possible_winner
 
 SCHEMA_VERSION = 1
 
@@ -193,6 +192,13 @@ def generate_election(
 ) -> PartialSpatialProfile:
     """Random profile with coordinates in [-coord_range, coord_range] on a
     grid of the given denominator; d=1 candidate positions are distinct."""
+    if dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {dimension}")
+    grid_points = 2 * coord_range * denominator + 1
+    if dimension == 1 and num_candidates > grid_points:
+        raise ValueError(
+            f"{num_candidates} distinct candidates do not fit on the {grid_points} grid points of a line"
+        )
     rng = random.Random(seed)
 
     def coord() -> Fraction:

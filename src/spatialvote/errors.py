@@ -39,3 +39,7 @@ class UnknownCandidate(SpatialVoteError):
 
 class InvalidInstance(SpatialVoteError):
     """An instance document failed to parse or validate."""
+
+
+class SelfCheckFailed(SpatialVoteError):
+    """An internal consistency check failed; this indicates a bug in the package."""

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+from .errors import SelfCheckFailed
 
 _ZERO = Fraction(0)
 
@@ -103,7 +105,8 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
                     combined[_normalize(*row)] = None
         rows = keep + list(combined)
 
-    assert not rows, "all variables eliminated"
+    if rows:
+        raise SelfCheckFailed("rows remain after eliminating every variable")
 
     witness: list[Optional[Fraction]] = [None] * d
     for var, vrows in reversed(stages):
@@ -126,13 +129,13 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
         elif ub is None:
             witness[var] = lb[0] + 1
         else:
-            assert lb[0] < ub[0] or (lb[0] == ub[0] and not lb[1] and not ub[1]), (
-                "back-substitution hit an empty interval on a feasible system"
-            )
+            if not (lb[0] < ub[0] or (lb[0] == ub[0] and not lb[1] and not ub[1])):
+                raise SelfCheckFailed("back-substitution hit an empty interval on a feasible system")
             witness[var] = (lb[0] + ub[0]) / 2
 
     point = tuple(witness)
-    assert all(q.holds(point) for q in system.inequalities)
+    if not all(q.holds(point) for q in system.inequalities):
+        raise SelfCheckFailed(f"witness {point} violates the system it certifies")
     return point
 
 

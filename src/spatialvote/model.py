@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, RuleUndefinedAtM, UnknownCandidate
+from .errors import DimensionMismatch, RuleUndefinedAtM, SelfCheckFailed, UnknownCandidate
 
 #: Exact rational scalar used for every coordinate and coefficient.
 Rational = Fraction
@@ -252,7 +252,8 @@ def realize_score_vector(rule: ScoringRule, m: int) -> tuple[int, ...]:
         vec = rule.vector
     else:  # pragma: no cover - constructors prevent this
         raise RuleUndefinedAtM(f"unknown rule kind {rule.kind!r}")
-    assert all(a >= b for a, b in zip(vec, vec[1:])) and vec[0] > vec[-1]
+    if not (all(a >= b for a, b in zip(vec, vec[1:])) and vec[0] > vec[-1]):
+        raise SelfCheckFailed(f"score vector {vec} is not nonincreasing and nonconstant")
     return vec
 
 

@@ -1,16 +1,19 @@
 """Brute-force ground truth over all ranking completions of a profile.
 
 The completion space is the Cartesian product of each voter's ranking
-completions.  Enumeration is streaming (an odometer over per-voter lists);
-the winner-set folds additionally collapse per-voter completions that
-contribute identical score vectors, which changes nothing about the result
-but keeps the product small for coarse rules like k-approval.
+completions.  `enumerate_completions` streams it (an odometer over per-voter
+lists) and stays the naive reference.  The winner-set queries never visit a
+completion: winners depend only on the candidates' score totals, so one
+iterative fold over the voters builds the set of totals that some completion
+reaches (per voter, every reached total plus every distinct score vector the
+voter can contribute), and the possible and necessary winners are the union
+and intersection of the winner sets of those totals.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import InstanceTooLarge
 from .geometry import ranking_completions
@@ -28,10 +31,6 @@ DEFAULT_GUARD = 10**6
 def completion_lists(profile: PartialSpatialProfile) -> list[tuple]:
     """Per-voter deduplicated ranking completions (with witnesses)."""
     return [ranking_completions(profile.candidates, v) for v in profile.voters]
-
-
-def completion_count(profile: PartialSpatialProfile) -> int:
-    return prod(len(lst) for lst in completion_lists(profile))
 
 
 def _check_guard(count: int, guard: int) -> None:
@@ -81,49 +80,34 @@ def _score_choices(
     return choices
 
 
+def _winner_sets(
+    profile: PartialSpatialProfile, rule: ScoringRule, guard: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """(union, intersection) of the winner sets over every completion."""
+    m = profile.num_candidates
+    reachable = {(0,) * m}
+    for contribs in _score_choices(profile, rule, guard):
+        reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
+    union, inter = frozenset(), frozenset(range(m))
+    for totals in reachable:
+        winners = winners_of_scores(totals)
+        union |= winners
+        inter &= winners
+    return union, inter
+
+
 def brute_pw(
     profile: PartialSpatialProfile, rule: ScoringRule, guard: int = DEFAULT_GUARD
 ) -> frozenset[int]:
     """Union of winner sets over every completion."""
-    return _fold(profile, rule, guard, want_union=True)
+    return _winner_sets(profile, rule, guard)[0]
 
 
 def brute_nw(
     profile: PartialSpatialProfile, rule: ScoringRule, guard: int = DEFAULT_GUARD
 ) -> frozenset[int]:
     """Intersection of winner sets over every completion; may be empty."""
-    return _fold(profile, rule, guard, want_union=False)
-
-
-def _fold(
-    profile: PartialSpatialProfile, rule: ScoringRule, guard: int, want_union: bool
-) -> frozenset[int]:
-    choices = _score_choices(profile, rule, guard)
-    m = profile.num_candidates
-    acc: set[int] | None = None
-
-    def rec(i: int, totals: tuple[int, ...]):
-        nonlocal acc
-        if i == len(choices):
-            w = winners_of_scores(totals)
-            if acc is None:
-                acc = set(w)
-            elif want_union:
-                acc |= w
-            else:
-                acc &= w
-            return
-        for contrib in choices[i]:
-            rec(i + 1, tuple(a + b for a, b in zip(totals, contrib)))
-            if acc is not None:
-                if want_union and len(acc) == m:
-                    return
-                if not want_union and not acc:
-                    return
-
-    rec(0, (0,) * m)
-    assert acc is not None
-    return frozenset(acc)
+    return _winner_sets(profile, rule, guard)[1]
 
 
 def is_possible_winner(
@@ -132,18 +116,8 @@ def is_possible_winner(
     candidate: int,
     guard: int = DEFAULT_GUARD,
 ) -> bool:
-    """Membership query with early exit on the first completion won by `candidate`."""
-    choices = _score_choices(profile, rule, guard)
-
-    def rec(i: int, totals: tuple[int, ...]) -> bool:
-        if i == len(choices):
-            return totals[candidate] == max(totals)
-        return any(
-            rec(i + 1, tuple(a + b for a, b in zip(totals, contrib)))
-            for contrib in choices[i]
-        )
-
-    return rec(0, (0,) * profile.num_candidates)
+    """Whether `candidate` wins some completion."""
+    return candidate in _winner_sets(profile, rule, guard)[0]
 
 
 def is_necessary_winner(
@@ -152,15 +126,5 @@ def is_necessary_winner(
     candidate: int,
     guard: int = DEFAULT_GUARD,
 ) -> bool:
-    """Membership query with early exit on the first completion lost by `candidate`."""
-    choices = _score_choices(profile, rule, guard)
-
-    def rec(i: int, totals: tuple[int, ...]) -> bool:
-        if i == len(choices):
-            return totals[candidate] == max(totals)
-        return all(
-            rec(i + 1, tuple(a + b for a, b in zip(totals, contrib)))
-            for contrib in choices[i]
-        )
-
-    return rec(0, (0,) * profile.num_candidates)
+    """Whether `candidate` wins every completion."""
+    return candidate in _winner_sets(profile, rule, guard)[1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InstanceTooLarge, MixedProcessingTimes, PreconditionViolated
+from .errors import InstanceTooLarge, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed
 from .geometry import ranking_completions
 from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox
 
@@ -59,19 +59,24 @@ class Schedule:
 
 
 def check_schedule(instance: SchedulingInstance, schedule: Schedule) -> None:
-    """Raise AssertionError unless the schedule satisfies all invariants."""
-    assert set(schedule.assignments) == {j.id for j in instance.jobs}
+    """Raise SelfCheckFailed unless the schedule satisfies all invariants."""
+    if set(schedule.assignments) != {j.id for j in instance.jobs}:
+        raise SelfCheckFailed("the schedule does not assign exactly the instance's jobs")
     per_machine: dict[int, list[tuple[int, int]]] = {}
     for job in instance.jobs:
         start, machine = schedule.assignments[job.id]
-        assert isinstance(start, int)
-        assert job.arrival <= start <= job.deadline - job.processing
-        assert 0 <= machine < instance.machines
+        if not isinstance(start, int):
+            raise SelfCheckFailed(f"job {job.id!r} starts at non-integer time {start!r}")
+        if not job.arrival <= start <= job.deadline - job.processing:
+            raise SelfCheckFailed(f"job {job.id!r} starts at {start}, outside its window")
+        if not 0 <= machine < instance.machines:
+            raise SelfCheckFailed(f"job {job.id!r} runs on nonexistent machine {machine}")
         per_machine.setdefault(machine, []).append((start, start + job.processing))
-    for intervals in per_machine.values():
+    for machine, intervals in per_machine.items():
         intervals.sort()
         for (_, end), (start, _) in zip(intervals, intervals[1:]):
-            assert start >= end, "overlapping jobs on one machine"
+            if start < end:
+                raise SelfCheckFailed(f"overlapping jobs on machine {machine}")
 
 
 def _assign_machines(
@@ -88,7 +93,7 @@ def _assign_machines(
                 assignments[job.id] = (start, h)
                 break
         else:  # pragma: no cover - caller guarantees bounded overlap
-            raise AssertionError("machine assignment failed")
+            raise SelfCheckFailed("machine assignment failed")
     return assignments
 
 

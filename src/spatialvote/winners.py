@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import oracle
-from .errors import DimensionMismatch, NoPolynomialAlgorithm, RuleMismatch
+from .errors import DimensionMismatch, NoPolynomialAlgorithm, RuleMismatch, SelfCheckFailed
 from .geometry import ranking_completions
 from .model import (
     Candidate,
@@ -65,7 +65,8 @@ def max_score_diff_voter(
         diff = vec[rw.ranking.index(rival)] - vec[rw.ranking.index(c)]
         if best is None or diff > best:
             best = diff
-    assert best is not None
+    if best is None:
+        raise SelfCheckFailed(f"voter {voter.id!r} has no ranking completion")
     return best
 
 
@@ -101,7 +102,8 @@ def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> list[Approval
         for rw in ranking_completions(profile.candidates, voter):
             approved.update(rw.ranking[:k])
         lo, hi = min(approved), max(approved)
-        assert len(approved) == hi - lo + 1, "approved set is not consecutive"
+        if len(approved) != hi - lo + 1:
+            raise SelfCheckFailed(f"voter {voter.id!r}: approved set is not consecutive")
         windows.append(ApprovalWindow(voter.id, lo, hi))
     return windows
 

@@ -130,6 +130,26 @@ class TestCommands:
         profile = parse_document(doc)
         assert profile.dimension == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["oracle", "pw"], ["oracle", "nw"], ["pw", "--allow-exponential"]],
+        ids=" ".join,
+    )
+    def test_oracle_scales_to_thousands_of_voters(self, capsys, tmp_path, command):
+        doc = {
+            "schema_version": 1,
+            "kind": "election",
+            "dimension": 1,
+            "candidates": [{"id": f"c{j + 1}", "position": [str(10 * j)]} for j in range(4)],
+            "voters": [{"id": f"v{i + 1}", "bounds": [[str(i % 4)] * 2]} for i in range(1500)],
+        }
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run(
+            capsys, *command, "--instance", path, "--rule", "borda", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {"winners": ["c1"]}
+
     def test_faces(self, capsys):
         code, out, _ = run(capsys, "faces", "--instance", ELECTION, "--format", "json")
         assert code == 0
@@ -181,6 +201,20 @@ class TestExitCodes:
     def test_unknown_voter(self, capsys):
         code, _, err = run(capsys, "rankings", "--instance", ELECTION, "--voter", "nobody")
         assert code == 1 and json.loads(err)["error"]["type"] == "InvalidInstance"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--coord-range", "0", "--num-candidates", "2"],
+            ["--coord-range", "1", "--num-candidates", "10"],
+            ["--dimension", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_gen_rejects_impossible_requests(self, capsys, extra):
+        code, out, err = run(capsys, "gen", "--seed", "1", *extra)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("command", ["pw", "nw"])
     def test_unknown_candidate(self, capsys, command):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -66,6 +70,31 @@ class TestEqualLengthSolver:
             if fast is not None:
                 check_schedule(instance, fast)
                 check_schedule(instance, slow)
+
+
+class TestCheckSchedule:
+    def test_overlap_raises_under_optimization(self):
+        # `python -O` strips `assert` statements; the check must survive it.
+        script = textwrap.dedent(
+            """
+            from spatialvote import Job, SchedulingInstance, SelfCheckFailed
+            from spatialvote.scheduling import Schedule, check_schedule
+
+            instance = SchedulingInstance((Job("a", 1, 5, 2), Job("b", 1, 5, 2)), 1)
+            try:
+                check_schedule(instance, Schedule({"a": (1, 0), "b": (2, 0)}))
+            except SelfCheckFailed as exc:
+                print(exc)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "overlapping jobs on machine 0"
 
 
 class TestBruteForce:

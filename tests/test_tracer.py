@@ -18,7 +18,15 @@ ELECTION = os.path.join(ROOT, "instances", "three_candidates_line.json")
 
 
 @pytest.mark.parametrize(
-    "command", [["rankings"], ["faces"], ["pw", "--rule", "fkt:2:1"]], ids=lambda c: c[0]
+    "command",
+    [
+        ["rankings"],
+        ["faces"],
+        ["pw", "--rule", "fkt:2:1"],
+        pytest.param(["oracle", "pw", "--rule", "borda"], id="oracle-pw"),
+        pytest.param(["pw", "--rule", "borda", "--allow-exponential"], id="pw-allow-exponential"),
+    ],
+    ids=lambda c: c[0],
 )
 def test_tracer_runs_cli_commands(tmp_path, command):
     spans_out = tmp_path / "spans.json"
@@ -34,7 +42,13 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans_out.read_text())["spans"]}
+    spans = json.loads(spans_out.read_text())["spans"]
+    names = {span[0] for span in spans}
     assert "cli.main" in names
     if command[0] == "faces":
         assert "lfp.feasible" in names
+    if "borda" in command:
+        # One span per oracle query: an oracle entry point never calls another.
+        oracle_spans = [span for span in spans if span[0] == "oracle"]
+        assert oracle_spans
+        assert all(spans[parent][0] != "oracle" for *_, parent in oracle_spans if parent >= 0)
