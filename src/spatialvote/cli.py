@@ -19,7 +19,8 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import Any, Iterable, Optional, Sequence
 
 from . import oracle
 from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError
@@ -250,8 +251,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _winner_payload(profile: PartialSpatialProfile, members: Sequence[int]) -> list[str]:
-    return sorted(profile.candidates[i].id for i in members)
+def _emit_winners(args, profile: PartialSpatialProfile, members: Iterable[int]) -> None:
+    ids = sorted(profile.candidates[i].id for i in members)
+    _emit(args, {"winners": ids}, [" ".join(ids) if ids else "(none)"])
 
 
 def cmd_rankings(args) -> int:
@@ -274,17 +276,15 @@ def cmd_rankings(args) -> int:
     return 0
 
 
-def _membership_command(args, decide) -> int:
+def _membership_command(args, winner_set) -> int:
     profile = _load_election(args.instance)
     rule = rule_from_text(args.rule)
     if args.candidate is not None:
         c = profile.candidate_index(args.candidate)
-        verdict = decide(profile, rule, c)
+        verdict = c in winner_set(profile, rule, (c,))
         _emit(args, {"candidate": args.candidate, "member": verdict}, [str(verdict).lower()])
-        return 0
-    members = [c for c in range(profile.num_candidates) if decide(profile, rule, c)]
-    ids = _winner_payload(profile, members)
-    _emit(args, {"winners": ids}, [" ".join(ids) if ids else "(none)"])
+    else:
+        _emit_winners(args, profile, winner_set(profile, rule, range(profile.num_candidates)))
     return 0
 
 
@@ -293,21 +293,17 @@ def cmd_nw(args) -> int:
 
 
 def cmd_pw(args) -> int:
-    guard = _guard_value(args)
-
-    def decide(profile, rule, c):
-        return possible_winner(profile, rule, c, allow_exponential=args.allow_exponential, guard=guard)
-
-    return _membership_command(args, decide)
+    return _membership_command(
+        args,
+        partial(possible_winner, allow_exponential=args.allow_exponential, guard=_guard_value(args)),
+    )
 
 
 def cmd_oracle(args) -> int:
     profile = _load_election(args.instance)
     rule = rule_from_text(args.rule)
-    guard = _guard_value(args)
     fn = oracle.brute_pw if args.which == "pw" else oracle.brute_nw
-    ids = _winner_payload(profile, sorted(fn(profile, rule, guard)))
-    _emit(args, {"winners": ids}, [" ".join(ids) if ids else "(none)"])
+    _emit_winners(args, profile, fn(profile, rule, _guard_value(args)))
     return 0
 
 
@@ -343,7 +339,7 @@ def cmd_faces(args) -> int:
 
 
 def _guard_value(args) -> int:
-    if getattr(args, "guard", None) is not None:
+    if args.guard is not None:
         return args.guard
     env = os.environ.get("SVK_GUARD")
     if env is not None:

@@ -1,26 +1,32 @@
-"""Necessary- and possible-winner algorithms for partial spatial profiles.
+"""Necessary- and possible-winner sets for partial spatial profiles.
 
-Necessary winners are decided for every positional scoring rule and every
-fixed dimension by maximizing per-voter score differences over the
-enumerated ranking completions.  Possible winners are decided in polynomial
-time for plurality and veto in any dimension (via bipartite flows over the
-first/last-place-capable candidate sets), and in one dimension for all
-two-valued rules (via a reduction to equal-length scheduling), weighted veto
-rules, and the three-valued rules F(k, t) with k > t.  Everything else falls
-back to the exhaustive oracle behind an explicit opt-in flag.
+`necessary_winner` and `possible_winner` take the candidate indices to decide
+(`range(m)` for the whole set, `(c,)` for one verdict) and return the winners
+among them.  Necessary winners: every positional scoring rule and every fixed
+dimension, in one pass per voter over its completions.  Possible winners, in
+polynomial time: plurality and veto in any dimension (bipartite flows over the
+first/last-place-capable candidate sets); in one dimension, all two-valued
+rules (reduction to equal-length scheduling), weighted veto rules, and the
+three-valued rules F(k, t) with k > t.  Everything else falls back, behind an
+explicit opt-in flag, to one exhaustive oracle pass for all the candidates.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import oracle
-from .errors import DimensionMismatch, NoPolynomialAlgorithm, RuleMismatch, SelfCheckFailed
+from .errors import (
+    DimensionMismatch,
+    NoPolynomialAlgorithm,
+    RuleMismatch,
+    SelfCheckFailed,
+    UnknownCandidate,
+)
 from .geometry import ranking_completions
 from .model import (
-    Candidate,
     PartialSpatialProfile,
     ScoringRule,
     VoterBox,
@@ -49,40 +55,41 @@ class ApprovalWindow:
 # ---------------------------------------------------------------------------
 
 
-def max_score_diff_voter(
-    voter: VoterBox,
-    candidates: tuple[Candidate, ...],
-    rule: ScoringRule,
-    c: int,
-    rival: int,
-) -> int:
-    """max over the voter's completions of score(rival) - score(c)."""
-    if c == rival:
-        raise ValueError("candidates must differ")
-    vec = realize_score_vector(rule, len(candidates))
-    best = None
-    for rw in ranking_completions(candidates, voter):
-        diff = vec[rw.ranking.index(rival)] - vec[rw.ranking.index(c)]
-        if best is None or diff > best:
-            best = diff
-    if best is None:
-        raise SelfCheckFailed(f"voter {voter.id!r} has no ranking completion")
-    return best
+def _candidate_set(profile: PartialSpatialProfile, candidates: Iterable[int]) -> frozenset[int]:
+    wanted = frozenset(candidates)
+    if not wanted <= frozenset(range(profile.num_candidates)):
+        raise UnknownCandidate(f"candidates {sorted(wanted)} not all in range({profile.num_candidates})")
+    return wanted
 
 
-def necessary_winner(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool:
-    """True iff `c` wins in every ranking completion of the profile."""
+def necessary_winner(
+    profile: PartialSpatialProfile, rule: ScoringRule, candidates: Iterable[int]
+) -> frozenset[int]:
+    """The members of `candidates` that win in every ranking completion.
+
+    A rival r ends strictly ahead of c in some completion iff the sum over
+    the (independent) voters of each voter's largest score(r) - score(c) is
+    positive (Xia & Conitzer, JAIR 41, 2011).  One pass over each voter's
+    completions yields that largest difference for every requested c and
+    every rival at once.
+    """
+    wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
-    for rival in range(m):
-        if rival == c:
-            continue
-        total = sum(
-            max_score_diff_voter(v, profile.candidates, rule, c, rival)
-            for v in profile.voters
-        )
-        if total > 0:
-            return False
-    return True
+    vec = realize_score_vector(rule, m)
+    lead = {c: [0] * m for c in wanted}
+    for voter in profile.voters:
+        scores = set()
+        for rw in ranking_completions(profile.candidates, voter):
+            score = [0] * m
+            for pos, cand in enumerate(rw.ranking):
+                score[cand] = vec[pos]
+            scores.add(tuple(score))
+        if not scores:
+            raise SelfCheckFailed(f"voter {voter.id!r} has no ranking completion")
+        for c, total in lead.items():
+            for r in range(m):
+                total[r] += max(score[r] - score[c] for score in scores)
+    return frozenset(c for c, total in lead.items() if max(total) <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,86 +345,64 @@ def pw_veto(profile: PartialSpatialProfile, c: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _two_valued_k(canon: tuple[int, ...]) -> int | None:
-    if set(canon) == {0, 1}:
-        return canon.count(1)
-    return None
+def _route(
+    profile: PartialSpatialProfile, rule: ScoringRule
+) -> tuple[str, Callable[[int], bool] | None]:
+    """The possible-winner route for this rule/dimension and its per-candidate
+    decider; the oracle route has no decider.
 
-
-def _weighted_veto_band(canon: tuple[int, ...]) -> int | None:
-    m = len(canon)
-    top = canon[0]
-    lead = 0
-    while lead < m and canon[lead] == top:
-        lead += 1
-    band = m - lead
-    if band >= 1 and 2 * band < m:
-        return band
-    return None
-
-
-def _fkt_params(canon: tuple[int, ...]) -> tuple[int, int] | None:
-    if max(canon) != 2 or not set(canon) <= {0, 1, 2}:
-        return None
-    k = canon.count(2)
-    t = canon.count(0)
-    if canon != (2,) * k + (1,) * (len(canon) - k - t) + (0,) * t:
-        return None
-    if k >= 1 and t >= 1:
-        return (k, t)
-    return None
+    Rule families are matched on the canonical vector, which is
+    nonincreasing, ends in 0 and starts above 0.
+    """
+    m = profile.num_candidates
+    canon = canonical_vector(realize_score_vector(rule, m))
+    if canon == (1,) + (0,) * (m - 1):
+        return "plurality-flow", lambda c: pw_plurality(profile, c)
+    if canon == (1,) * (m - 1) + (0,):
+        return "veto-flow", lambda c: pw_veto(profile, c)
+    if profile.dimension == 1:
+        if set(canon) == {0, 1}:
+            k = canon.count(1)
+            return "two-valued-1d", lambda c: pw_two_valued_1d(profile, k, c)
+        band = m - canon.count(canon[0])
+        if 2 * band < m:
+            wveto = ScoringRule.weighted_veto(canon[0], canon[m - band :])
+            return "weighted-veto-1d", lambda c: pw_weighted_veto_1d(profile, wveto, c)
+        k, t = canon.count(2), canon.count(0)
+        if set(canon) == {0, 1, 2} and k > t:
+            fkt = ScoringRule.fkt(k, t)
+            return "fkt-1d", lambda c: pw_fkt_1d(profile, fkt, c)
+    return "oracle", None
 
 
 def route_for(profile: PartialSpatialProfile, rule: ScoringRule) -> str:
     """Which algorithm `possible_winner` would use for this rule/dimension."""
-    m = profile.num_candidates
-    canon = canonical_vector(realize_score_vector(rule, m))
-    if canon == (1,) + (0,) * (m - 1):
-        return "plurality-flow"
-    if canon == (1,) * (m - 1) + (0,):
-        return "veto-flow"
-    if profile.dimension == 1:
-        if _two_valued_k(canon) is not None:
-            return "two-valued-1d"
-        if _weighted_veto_band(canon) is not None:
-            return "weighted-veto-1d"
-        params = _fkt_params(canon)
-        if params is not None and params[0] > params[1]:
-            return "fkt-1d"
-    return "oracle"
+    return _route(profile, rule)[0]
 
 
 def possible_winner(
     profile: PartialSpatialProfile,
     rule: ScoringRule,
-    c: int,
+    candidates: Iterable[int],
     allow_exponential: bool = False,
     guard: int = oracle.DEFAULT_GUARD,
-) -> bool:
-    """Decide whether `c` is a possible winner, using the matching polynomial
-    algorithm when one exists, else the exhaustive oracle behind the flag."""
-    route = route_for(profile, rule)
-    if route == "plurality-flow":
-        return pw_plurality(profile, c)
-    if route == "veto-flow":
-        return pw_veto(profile, c)
-    m = profile.num_candidates
-    canon = canonical_vector(realize_score_vector(rule, m))
-    if route == "two-valued-1d":
-        return pw_two_valued_1d(profile, _two_valued_k(canon), c)
-    if route == "weighted-veto-1d":
-        band = _weighted_veto_band(canon)
-        betas = canon[m - band :]
-        return pw_weighted_veto_1d(profile, ScoringRule.weighted_veto(canon[0], betas), c)
-    if route == "fkt-1d":
-        k, t = _fkt_params(canon)
-        return pw_fkt_1d(profile, ScoringRule.fkt(k, t), c)
+) -> frozenset[int]:
+    """The members of `candidates` that win in some ranking completion.
+
+    Each candidate is decided by the route's polynomial algorithm when one
+    exists; otherwise, behind the flag, one exhaustive oracle pass answers
+    for all of them.
+    """
+    wanted = _candidate_set(profile, candidates)
+    _, decide = _route(profile, rule)
+    if decide is not None:
+        return frozenset(c for c in wanted if decide(c))
     if not allow_exponential:
         raise NoPolynomialAlgorithm(
             f"no polynomial possible-winner algorithm for this rule in d={profile.dimension}; "
             "pass allow_exponential to use the oracle"
         )
-    return oracle.is_possible_winner(profile, rule, c, guard)
+    return oracle.brute_pw(profile, rule, guard) & wanted
 
 
 def _require_1d(profile: PartialSpatialProfile) -> None:

@@ -104,3 +104,11 @@ def grid_rankings_1d(profile: PartialSpatialProfile, box_index: int, step: Fract
         x += step
     seen.add(rank_from_point((hi,), profile.candidates))
     return seen
+
+
+def check_winner_set(winner_set, m: int, expected: frozenset) -> None:
+    """`winner_set(candidates)` must give `expected` for all of range(m) and
+    {c} & expected for every singleton (c,)."""
+    assert winner_set(range(m)) == expected
+    for c in range(m):
+        assert winner_set((c,)) == {c} & expected

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from gen_helpers import (
+    check_winner_set,
     grid_rankings_1d,
     random_equal_length_instance,
     random_profile_1d,
@@ -140,8 +141,7 @@ def test_c4_necessary_winner_oracle_equivalence(capsys):
             for rule in NW_RULES:
                 nw = brute_nw(profile, rule)
                 pw = brute_pw(profile, rule)
-                for c in range(m):
-                    assert necessary_winner(profile, rule, c) == (c in nw)
+                check_winner_set(lambda cs: necessary_winner(profile, rule, cs), m, nw)
                 TOUCHED.append((profile, rule, pw, nw))
 
 
@@ -228,8 +228,8 @@ def test_c9_structural_invariants(capsys):
             reversed_profile = profile.with_voters(tuple(reversed(profile.voters)))
             assert brute_pw(reversed_profile, rule) == pw
             assert brute_nw(reversed_profile, rule) == nw
-            for c in range(profile.num_candidates):
-                assert necessary_winner(reversed_profile, rule, c) == (c in nw)
-                assert possible_winner(
-                    reversed_profile, rule, c, allow_exponential=True
-                ) == (c in pw)
+            m = profile.num_candidates
+            check_winner_set(lambda cs: necessary_winner(reversed_profile, rule, cs), m, nw)
+            check_winner_set(
+                lambda cs: possible_winner(reversed_profile, rule, cs, allow_exponential=True), m, pw
+            )

@@ -7,6 +7,7 @@ from spatialvote.cli import (
     election_to_document,
     generate_election,
     generate_scheduling,
+    load_document,
     main,
     parse_document,
     scheduling_to_document,
@@ -94,11 +95,35 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"winners": ["a"]}
 
-    def test_membership_verdict(self, capsys):
+    def test_membership_verdict(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "pw", "--instance", ELECTION, "--rule", "approval:1", "--candidate", "c2"
         )
         assert code == 0 and out.strip() == "true"
+
+        # every --candidate verdict equals membership in the full winner set
+        profile = generate_election(15, dimension=1, num_candidates=6, num_voters=4)
+        path = write_doc(tmp_path, election_to_document(profile))
+        verdicts = set()
+        for rule, pw_flags in [
+            ("plurality", []),
+            ("veto", []),
+            ("approval:2", []),
+            ("wveto:3:2,1", []),
+            ("fkt:2:1", []),
+            ("borda", ["--allow-exponential"]),
+        ]:
+            for command, flags in (("pw", pw_flags), ("nw", [])):
+                query = [command, "--instance", path, "--rule", rule, *flags]
+                code, out, _ = run(capsys, *query, "--format", "json")
+                assert code == 0
+                winners = set(json.loads(out)["winners"])
+                for candidate in profile.candidates:
+                    code, out, _ = run(capsys, *query, "--candidate", candidate.id)
+                    assert code == 0
+                    assert out.strip() == str(candidate.id in winners).lower()
+                    verdicts.add(out.strip())
+        assert verdicts == {"true", "false"}
 
     def test_rankings_listing(self, capsys):
         code, out, _ = run(capsys, "rankings", "--instance", ELECTION, "--format", "json")
@@ -166,9 +191,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "pw", "--instance", ELECTION, "--rule", "approval:zero")
         assert code == 1 and "error" in json.loads(err)
 
-    def test_rule_undefined_at_m(self, capsys):
-        code, _, err = run(capsys, "nw", "--instance", ELECTION, "--rule", "approval:5")
-        assert code == 1
+    @pytest.mark.parametrize("voters", ["bundled", "no-voters"])
+    @pytest.mark.parametrize("command", [["pw"], ["nw"], ["oracle", "nw"]], ids="-".join)
+    def test_rule_undefined_at_m(self, capsys, tmp_path, command, voters):
+        instance = ELECTION
+        if voters == "no-voters":
+            doc = load_document(ELECTION)
+            doc["voters"] = []
+            instance = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, *command, "--instance", instance, "--rule", "approval:5")
+        assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "RuleUndefinedAtM"
 
     def test_no_polynomial_algorithm(self, capsys):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gen_helpers import random_profile_1d, random_profile_2d
+from gen_helpers import check_winner_set, random_profile_1d, random_profile_2d
 from spatialvote import (
     Candidate,
     NoPolynomialAlgorithm,
     PartialSpatialProfile,
     RuleMismatch,
     ScoringRule,
+    UnknownCandidate,
     VoterBox,
     brute_nw,
     brute_pw,
@@ -22,6 +23,7 @@ from spatialvote import (
     pw_weighted_veto_1d,
     route_for,
 )
+from spatialvote import oracle
 from spatialvote.errors import DimensionMismatch
 from spatialvote.geometry import ranking_completions, tie_points_1d
 from spatialvote.winners import approval_windows_1d, restrict_profile
@@ -193,14 +195,17 @@ class TestNecessaryWinner:
             else:
                 profile = random_profile_2d(rng, rng.randint(3, 5), rng.randint(1, 4), max_side=2)
             for rule in rules:
-                expected = brute_nw(profile, rule)
-                for c in range(profile.num_candidates):
-                    assert necessary_winner(profile, rule, c) == (c in expected)
+                check_winner_set(
+                    lambda cs: necessary_winner(profile, rule, cs),
+                    profile.num_candidates,
+                    brute_nw(profile, rule),
+                )
 
     def test_degenerate_profile(self):
         profile = line_profile([0, 1, 2], [(0, 0)])
-        assert necessary_winner(profile, ScoringRule.plurality(), 0)
-        assert not necessary_winner(profile, ScoringRule.plurality(), 1)
+        check_winner_set(
+            lambda cs: necessary_winner(profile, ScoringRule.plurality(), cs), 3, {0}
+        )
 
 
 class TestDispatch:
@@ -227,12 +232,31 @@ class TestDispatch:
 
     def test_guarded_fallback(self):
         with pytest.raises(NoPolynomialAlgorithm):
-            possible_winner(REFERENCE, ScoringRule.borda(), 0)
-        expected = brute_pw(REFERENCE, ScoringRule.borda())
-        for c in range(3):
-            assert possible_winner(
-                REFERENCE, ScoringRule.borda(), c, allow_exponential=True
-            ) == (c in expected)
+            possible_winner(REFERENCE, ScoringRule.borda(), (0,))
+        check_winner_set(
+            lambda cs: possible_winner(REFERENCE, ScoringRule.borda(), cs, allow_exponential=True),
+            3,
+            brute_pw(REFERENCE, ScoringRule.borda()),
+        )
+
+    def test_one_oracle_pass_per_query(self, monkeypatch):
+        passes = []
+        winner_sets = oracle._winner_sets
+
+        def counting(*args):
+            passes.append(args)
+            return winner_sets(*args)
+
+        monkeypatch.setattr(oracle, "_winner_sets", counting)
+        profile = line_profile([0, 1, 2, 3, 4], [(0, 4), (1, 2), (3, 4)])
+        borda = ScoringRule.borda()
+        got = possible_winner(profile, borda, range(5), allow_exponential=True)
+        assert len(passes) == 1
+        assert got == winner_sets(profile, borda, oracle.DEFAULT_GUARD)[0]
+        with pytest.raises(UnknownCandidate):
+            possible_winner(profile, borda, (5,), allow_exponential=True)
+        with pytest.raises(UnknownCandidate):
+            necessary_winner(profile, borda, (0, -1))
 
     def test_dispatch_agrees_with_oracle_across_rules(self):
         rng = random.Random(67)
@@ -248,6 +272,6 @@ class TestDispatch:
                 ScoringRule.explicit((2,) + (0,) * (m - 1)),  # scaled plurality
             ]
             for rule in rules:
-                expected = brute_pw(profile, rule)
-                for c in range(m):
-                    assert possible_winner(profile, rule, c) == (c in expected)
+                check_winner_set(
+                    lambda cs: possible_winner(profile, rule, cs), m, brute_pw(profile, rule)
+                )
