@@ -59,22 +59,36 @@ def _expect(doc: Any, field: str, where: str) -> Any:
     return doc[field]
 
 
+def _array(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInstance(f"{where}: expected an array, got {value!r}")
+    return value
+
+
+def _id(entry: Any, where: str) -> str:
+    value = _expect(entry, "id", where)
+    if not isinstance(value, str):
+        raise InvalidInstance(f"{where}.id: expected a string, got {value!r}")
+    return value
+
+
 def parse_election(doc: dict) -> PartialSpatialProfile:
     dimension = _expect(doc, "dimension", "election")
     if not isinstance(dimension, int) or dimension < 1:
         raise InvalidInstance("election.dimension: expected a positive integer")
     candidates = []
-    for i, entry in enumerate(_expect(doc, "candidates", "election")):
+    for i, entry in enumerate(_array(_expect(doc, "candidates", "election"), "election.candidates")):
         where = f"election.candidates[{i}]"
-        cid = _expect(entry, "id", where)
-        position = tuple(_rat(x, f"{where}.position[{j}]") for j, x in enumerate(_expect(entry, "position", where)))
+        cid = _id(entry, where)
+        coords = _array(_expect(entry, "position", where), f"{where}.position")
+        position = tuple(_rat(x, f"{where}.position[{j}]") for j, x in enumerate(coords))
         candidates.append(Candidate(cid, position))
     voters = []
-    for i, entry in enumerate(doc.get("voters", [])):
+    for i, entry in enumerate(_array(doc.get("voters", []), "election.voters")):
         where = f"election.voters[{i}]"
-        vid = _expect(entry, "id", where)
+        vid = _id(entry, where)
         bounds = []
-        for j, pair in enumerate(_expect(entry, "bounds", where)):
+        for j, pair in enumerate(_array(_expect(entry, "bounds", where), f"{where}.bounds")):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InvalidInstance(f"{where}.bounds[{j}]: expected a [lo, hi] pair")
             bounds.append((_rat(pair[0], f"{where}.bounds[{j}][0]"), _rat(pair[1], f"{where}.bounds[{j}][1]")))
@@ -93,7 +107,7 @@ def parse_scheduling(doc: dict) -> SchedulingInstance:
     if not isinstance(machines, int):
         raise InvalidInstance("scheduling.machines: expected an integer")
     jobs = []
-    for i, entry in enumerate(_expect(doc, "jobs", "scheduling")):
+    for i, entry in enumerate(_array(_expect(doc, "jobs", "scheduling"), "scheduling.jobs")):
         where = f"scheduling.jobs[{i}]"
         fields = {}
         for f in ("arrival", "deadline", "processing"):
@@ -102,7 +116,7 @@ def parse_scheduling(doc: dict) -> SchedulingInstance:
                 raise InvalidInstance(f"{where}.{f}: expected an integer")
             fields[f] = value
         try:
-            jobs.append(Job(_expect(entry, "id", where), **fields))
+            jobs.append(Job(_id(entry, where), **fields))
         except ValueError as exc:
             raise InvalidInstance(f"{where}: {exc}") from exc
     try:
@@ -267,7 +281,7 @@ def cmd_rankings(args) -> int:
     lines = []
     for voter in voters:
         entries = []
-        for rw in ranking_completions(profile.candidates, voter):
+        for rw in ranking_completions(profile.candidates, voter.bounds):
             ids = [profile.candidates[i].id for i in rw.ranking]
             entries.append({"ranking": ids, "witness": [str(x) for x in rw.witness]})
             lines.append(f"{voter.id}: {' > '.join(ids)}  (at {', '.join(str(x) for x in rw.witness)})")

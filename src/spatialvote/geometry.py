@@ -239,7 +239,11 @@ def _lift(
 
 @lru_cache(maxsize=65536)
 def ranking_completions(
-    candidates: tuple[Candidate, ...], box: VoterBox
+    candidates: tuple[Candidate, ...], bounds: tuple[tuple[Fraction, Fraction], ...]
 ) -> tuple[RankingWithWitness, ...]:
-    """Cached per-voter enumeration; the workhorse for winners and oracle."""
-    return tuple(enumerate_rankings_dd(candidates, box))
+    """Cached per-box enumeration; the workhorse for winners and oracle.
+
+    Keyed on a box's bounds rather than on a voter, so voters with equal
+    boxes share one entry.
+    """
+    return tuple(enumerate_rankings_dd(candidates, VoterBox("", bounds)))

@@ -6,6 +6,15 @@ are eliminated from the highest index down; the witness is rebuilt by
 back-substitution, taking the midpoint of each variable's feasible interval
 (or an interior point offset by 1 when one side is open).
 
+Elimination is fraction-free, in the spirit of Bareiss (Math. Comp. 22,
+1968): each input row is scaled once by the lcm of its denominators to an
+integer vector (coefficients and constant), and every row, input or
+combined, is divided by the gcd of its entries.  The resulting primitive
+vector is the one integer representative of its halfspace under positive
+scaling, so it doubles as the key that drops duplicate rows.  `Fraction`
+appears only in back-substitution and in the final exact re-check of the
+witness against the original system.
+
 The number of variables in this package is the spatial dimension d, which is
 tiny and fixed, so the elimination blowup is bounded in practice.
 """
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import SelfCheckFailed
@@ -51,12 +61,19 @@ class InequalitySystem:
                 raise ValueError(f"inequality has {len(q.coeffs)} coefficients, expected {self.dimension}")
 
 
-def _normalize(coeffs: tuple, constant: Fraction, strict: bool):
-    """Scale a row so its largest absolute coefficient is 1 (for dedup)."""
-    scale = max((abs(a) for a in coeffs if a != 0), default=None)
-    if scale is None or scale == 1:
-        return (coeffs, constant, strict)
-    return (tuple(a / scale for a in coeffs), constant / scale, strict)
+def _primitive(values: Sequence[int], strict: bool) -> tuple[tuple[int, ...], bool]:
+    """The row divided by the gcd of its entries: one key per halfspace."""
+    g = gcd(*values)
+    if g != 1:
+        values = [v // g for v in values]
+    return (tuple(values), strict)
+
+
+def _integer_row(q: LinearInequality) -> tuple[tuple[int, ...], bool]:
+    """``q`` as a primitive integer vector (coeffs..., constant), denominators cleared."""
+    entries = (*q.coeffs, q.constant)
+    den = lcm(*(x.denominator for x in entries))
+    return _primitive([x.numerator * (den // x.denominator) for x in entries], q.strict)
 
 
 def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
@@ -68,42 +85,40 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     d = system.dimension
     rows = []
     for q in system.inequalities:
-        row = (tuple(Fraction(a) for a in q.coeffs), Fraction(q.constant), q.strict)
-        if all(a == 0 for a in row[0]):
-            if not _constant_ok(row):
-                return None
-        else:
-            rows.append(_normalize(*row))
+        if any(q.coeffs):
+            rows.append(_integer_row(q))
+        elif not _constant_ok(q.constant, q.strict):
+            return None
     rows = list(dict.fromkeys(rows))
 
+    # A row at stage `var` is (a_0, ..., a_var, b): the coefficients of the
+    # variables eliminated before it are zero and are dropped.
     stages: list[tuple[int, list]] = []
     for var in range(d - 1, -1, -1):
         keep, pos, neg = [], [], []
-        for coeffs, b, strict in rows:
-            a = coeffs[var]
+        for row in rows:
+            a = row[0][var]
             if a > 0:
-                pos.append((coeffs, b, strict))
+                pos.append(row)
             elif a < 0:
-                neg.append((coeffs, b, strict))
+                neg.append(row)
             else:
-                keep.append((coeffs, b, strict))
+                keep.append(row)
         stages.append((var, pos + neg))
         combined = {}
-        for pc, pb, ps in pos:
-            for nc, nb, ns in neg:
-                # multiply the pos row by -nc[var] > 0 and the neg row by
-                # pc[var] > 0; the sum has a zero coefficient on `var`.
-                mp, mn = -nc[var], pc[var]
-                coeffs = tuple(mp * a + mn * b2 for a, b2 in zip(pc, nc))
-                b = mp * pb + mn * nb
+        for pv, ps in pos:
+            for nv, ns in neg:
+                # multiply the pos row by -nv[var] > 0 and the neg row by
+                # pv[var] > 0; the sum has a zero coefficient on `var`.
+                mp, mn = -nv[var], pv[var]
+                vec = [mp * x + mn * y for x, y in zip(pv, nv)]
+                del vec[var]
                 strict = ps or ns
-                row = (coeffs, b, strict)
-                if all(a == 0 for a in coeffs):
-                    if not _constant_ok(row):
-                        return None
-                else:
-                    combined[_normalize(*row)] = None
-        rows = keep + list(combined)
+                if any(vec[:-1]):
+                    combined[_primitive(vec, strict)] = None
+                elif not _constant_ok(vec[-1], strict):
+                    return None
+        rows = [(v[:var] + v[var + 1 :], s) for v, s in keep] + list(combined)
 
     if rows:
         raise SelfCheckFailed("rows remain after eliminating every variable")
@@ -112,10 +127,10 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     for var, vrows in reversed(stages):
         lb = None  # (value, strict)
         ub = None
-        for coeffs, b, strict in vrows:
-            a = coeffs[var]
-            rest = sum(coeffs[i] * witness[i] for i in range(var) if coeffs[i] != 0)
-            bound = (b - rest) / a
+        for vec, strict in vrows:
+            a = vec[var]
+            rest = sum(vec[i] * witness[i] for i in range(var) if vec[i] != 0)
+            bound = Fraction(vec[-1] - rest) / a
             if a > 0:  # x <= bound (or <)
                 if ub is None or bound < ub[0] or (bound == ub[0] and strict):
                     ub = (bound, strict)
@@ -139,6 +154,6 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     return point
 
 
-def _constant_ok(row) -> bool:
-    _, b, strict = row
+def _constant_ok(b, strict: bool) -> bool:
+    """Whether ``0 < b`` (strict) or ``0 <= b`` holds."""
     return b > 0 if strict else b >= 0

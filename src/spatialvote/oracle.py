@@ -30,7 +30,7 @@ DEFAULT_GUARD = 10**6
 
 def completion_lists(profile: PartialSpatialProfile) -> list[tuple]:
     """Per-voter deduplicated ranking completions (with witnesses)."""
-    return [ranking_completions(profile.candidates, v) for v in profile.voters]
+    return [ranking_completions(profile.candidates, v.bounds) for v in profile.voters]
 
 
 def _check_guard(count: int, guard: int) -> None:

@@ -287,7 +287,7 @@ def _validate_reduction(
         p = job.processing
         voter = by_id[f"v_{job.id}"]
         approvals = set()
-        for rw in ranking_completions(profile.candidates, voter):
+        for rw in ranking_completions(profile.candidates, voter.bounds):
             approvals.add(frozenset(rw.ranking[:k]))
         expected = set()
         for start in range(job.arrival, job.deadline - p + 1):

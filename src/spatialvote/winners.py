@@ -79,7 +79,7 @@ def necessary_winner(
     lead = {c: [0] * m for c in wanted}
     for voter in profile.voters:
         scores = set()
-        for rw in ranking_completions(profile.candidates, voter):
+        for rw in ranking_completions(profile.candidates, voter.bounds):
             score = [0] * m
             for pos, cand in enumerate(rw.ranking):
                 score[cand] = vec[pos]
@@ -106,7 +106,7 @@ def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> list[Approval
     windows = []
     for voter in profile.voters:
         approved: set[int] = set()
-        for rw in ranking_completions(profile.candidates, voter):
+        for rw in ranking_completions(profile.candidates, voter.bounds):
             approved.update(rw.ranking[:k])
         lo, hi = min(approved), max(approved)
         if len(approved) != hi - lo + 1:
@@ -177,7 +177,7 @@ def pw_weighted_veto_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: in
     for voter in profile.voters:
         if not any(
             rw.ranking.index(c) < top
-            for rw in ranking_completions(profile.candidates, voter)
+            for rw in ranking_completions(profile.candidates, voter.bounds)
         ):
             return False
     return True
@@ -216,7 +216,7 @@ def pw_fkt_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool
     for voter in profile.voters:
         xs = [
             rw.witness[0]
-            for rw in ranking_completions(profile.candidates, voter)
+            for rw in ranking_completions(profile.candidates, voter.bounds)
             if rw.ranking.index(c) < m - t
         ]
         if not xs:
@@ -270,7 +270,7 @@ class _FlowNetwork:
 def first_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
     """Per voter, the candidates rankable first in some completion."""
     return [
-        frozenset(rw.ranking[0] for rw in ranking_completions(profile.candidates, v))
+        frozenset(rw.ranking[0] for rw in ranking_completions(profile.candidates, v.bounds))
         for v in profile.voters
     ]
 
@@ -278,7 +278,7 @@ def first_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
 def last_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
     """Per voter, the candidates rankable last in some completion."""
     return [
-        frozenset(rw.ranking[-1] for rw in ranking_completions(profile.candidates, v))
+        frozenset(rw.ranking[-1] for rw in ranking_completions(profile.candidates, v.bounds))
         for v in profile.voters
     ]
 

@@ -14,6 +14,7 @@ from spatialvote.cli import (
     serialize,
 )
 from spatialvote.errors import InvalidInstance
+from spatialvote.geometry import ranking_completions
 
 HERE = os.path.dirname(__file__)
 ELECTION = os.path.join(HERE, "..", "instances", "three_candidates_line.json")
@@ -65,12 +66,19 @@ class TestDocuments:
             lambda d: d["candidates"][0].pop("position"),
             lambda d: d["candidates"][0].update(position=[0.5]),
             lambda d: d["voters"][0].update(bounds=[["2", "1"]]),
+            lambda d: d.update(candidates=5),
+            lambda d: d["candidates"][0].update(position=5),
+            lambda d: d.update(voters=7),
+            lambda d: d["voters"][0].update(bounds=5),
+            lambda d: d.update(kind="scheduling", machines=1, jobs=3),
+            lambda d: d["candidates"][0].update(id=1),
+            lambda d: d["voters"][0].update(id=1),
         ],
     )
     def test_field_addressed_errors(self, mutate):
         doc = json.loads(serialize(election_to_document(generate_election(1, 1, 3, 1))))
         mutate(doc)
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidInstance, match=r"^(document|election|scheduling)\b"):
             parse_document(doc)
 
 
@@ -175,6 +183,17 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"winners": ["c1"]}
 
+    def test_equal_boxes_share_the_cache(self, capsys, tmp_path):
+        doc = load_document(ELECTION)
+        doc["voters"] = [{"id": vid, "bounds": [["1/2", "5/2"]]} for vid in ("a", "b")]
+        path = write_doc(tmp_path, doc)
+        ranking_completions.cache_clear()
+        code, out, _ = run(capsys, "rankings", "--instance", path, "--format", "json")
+        info = ranking_completions.cache_info()
+        assert code == 0 and (info.misses, info.hits) == (1, 1)
+        rankings = json.loads(out)["rankings"]
+        assert rankings["a"] == rankings["b"] and len(rankings["a"]) > 1
+
     def test_faces(self, capsys):
         code, out, _ = run(capsys, "faces", "--instance", ELECTION, "--format", "json")
         assert code == 0
@@ -229,6 +248,22 @@ class TestExitCodes:
         monkeypatch.setenv("SVK_GUARD", "1000")
         code, _, _ = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("candidates", 5, "election.candidates"),
+            ("voters", [{"id": 1, "bounds": [[0, 1]]}], "election.voters[0].id"),
+        ],
+        ids=["candidates", "voter-id"],
+    )
+    def test_malformed_document(self, capsys, tmp_path, field, value, where):
+        doc = load_document(ELECTION)
+        doc[field] = value
+        code, out, err = run(capsys, "rankings", "--instance", write_doc(tmp_path, doc))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInstance" and error["message"].startswith(where + ":")
 
     def test_unknown_voter(self, capsys):
         code, _, err = run(capsys, "rankings", "--instance", ELECTION, "--voter", "nobody")

@@ -169,4 +169,4 @@ class TestEnumerateDD:
     def test_completions_cache_is_stable(self):
         cands = (Candidate("a", (0, 0)), Candidate("b", (1, 1)))
         box = VoterBox("v", ((0, 1), (0, 1)))
-        assert ranking_completions(cands, box) is ranking_completions(cands, box)
+        assert ranking_completions(cands, box.bounds) is ranking_completions(cands, box.bounds)

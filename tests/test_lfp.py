@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfp_reference import reference_feasible
+from spatialvote import geometry
+from spatialvote.cli import generate_election
 from spatialvote.lfp import InequalitySystem, LinearInequality, feasible
 
 
@@ -126,3 +129,44 @@ class TestProperties:
     @given(arbitrary_system())
     def test_deterministic(self, system):
         assert feasible(system) == feasible(system)
+
+
+def assert_same_as_reference(system):
+    """Same verdict and the same witness as the Fraction solver, all of it exact."""
+    point = feasible(system)
+    assert point == reference_feasible(system)
+    if point is not None:
+        assert all(type(x) is Fraction for x in point)
+        assert all(q.holds(point) for q in system.inequalities)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_system())
+    def test_arbitrary_systems(self, system):
+        assert_same_as_reference(system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_system())
+    def test_constructed_feasible_systems(self, pair):
+        assert_same_as_reference(pair[0])
+
+    def test_empty_system_witness_is_fractions(self):
+        assert_same_as_reference(InequalitySystem(3, ()))
+
+    @pytest.mark.parametrize("dimension, m", [(2, 5), (3, 4)])
+    def test_box_and_bisector_systems(self, monkeypatch, dimension, m):
+        systems = []
+
+        def record(system):
+            systems.append(system)
+            return feasible(system)
+
+        monkeypatch.setattr(geometry, "feasible", record)
+        for seed in range(3):
+            profile = generate_election(seed, dimension, m, 2, 8, 4)
+            for voter in profile.voters:
+                geometry.enumerate_rankings_dd(profile.candidates, voter)
+        assert len(systems) > 100
+        for system in systems:
+            assert_same_as_reference(system)

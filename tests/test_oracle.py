@@ -46,7 +46,7 @@ class TestEnumeration:
         for _ in range(20):
             profile = random_profile_1d(rng, rng.randint(2, 5), rng.randint(1, 3))
             per_voter = [
-                len(ranking_completions(profile.candidates, v)) for v in profile.voters
+                len(ranking_completions(profile.candidates, v.bounds)) for v in profile.voters
             ]
             assert sum(1 for _ in enumerate_completions(profile)) == prod(per_voter)
 

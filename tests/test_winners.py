@@ -143,7 +143,7 @@ class TestFkt1D:
                 other = Fraction(rng.randint(-8, 8))
                 boxes.append(VoterBox(f"tie{i}", ((min(x, other), max(x, other)),)))
             for box in boxes:
-                completions = ranking_completions(profile.candidates, box)
+                completions = ranking_completions(profile.candidates, box.bounds)
                 for c in range(m):
                     for t in range(1, m):
                         admissible = [rw for rw in completions if rw.ranking.index(c) < m - t]
@@ -151,7 +151,7 @@ class TestFkt1D:
                             continue
                         xs = [rw.witness[0] for rw in admissible]
                         shrunk = VoterBox(box.id, ((min(xs), max(xs)),))
-                        kept = ranking_completions(profile.candidates, shrunk)
+                        kept = ranking_completions(profile.candidates, shrunk.bounds)
                         assert {rw.ranking for rw in kept} == {rw.ranking for rw in admissible}
 
 
