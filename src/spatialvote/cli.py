@@ -53,6 +53,11 @@ def _rat(value: Any, where: str) -> Fraction:
         raise InvalidInstance(f"{where}: {exc}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; `bool` is an `int` subclass, but true/false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(doc: Any, field: str, where: str) -> Any:
     if not isinstance(doc, dict) or field not in doc:
         raise InvalidInstance(f"{where}: missing field {field!r}")
@@ -74,7 +79,7 @@ def _id(entry: Any, where: str) -> str:
 
 def parse_election(doc: dict) -> PartialSpatialProfile:
     dimension = _expect(doc, "dimension", "election")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise InvalidInstance("election.dimension: expected a positive integer")
     candidates = []
     for i, entry in enumerate(_array(_expect(doc, "candidates", "election"), "election.candidates")):
@@ -104,7 +109,7 @@ def parse_election(doc: dict) -> PartialSpatialProfile:
 
 def parse_scheduling(doc: dict) -> SchedulingInstance:
     machines = _expect(doc, "machines", "scheduling")
-    if not isinstance(machines, int):
+    if not _is_int(machines):
         raise InvalidInstance("scheduling.machines: expected an integer")
     jobs = []
     for i, entry in enumerate(_array(_expect(doc, "jobs", "scheduling"), "scheduling.jobs")):
@@ -112,7 +117,7 @@ def parse_scheduling(doc: dict) -> SchedulingInstance:
         fields = {}
         for f in ("arrival", "deadline", "processing"):
             value = _expect(entry, f, where)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise InvalidInstance(f"{where}.{f}: expected an integer")
             fields[f] = value
         try:

@@ -1,7 +1,11 @@
 """Enumerating the ranking completions of one voter's box.
 
-In one dimension the ranking changes only at midpoints of candidate pairs,
-so a sweep over those tie points suffices.  In higher dimensions the
+In one dimension the ranking changes only at midpoints of candidate pairs:
+the line cut at those tie points is Coombs' unfolding (C. Coombs, *A Theory
+of Data*, 1964).  `_line_arrangement` builds it once per candidate tuple,
+with the ranking at every tie point and on every open cell between them, and
+every voter's sweep over the same candidates looks its probes up there by
+bisection instead of sorting distances.  In higher dimensions the
 candidate-pair bisector hyperplanes partition space into faces on which the
 distance ranking is constant; the faces are built incrementally by splitting
 every face a new hyperplane crosses, with feasibility (and witnesses) decided
@@ -24,6 +28,7 @@ sequences, so it probes every tie point inside the interval.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,6 +72,32 @@ class RankingWithWitness:
     witness: SpatialPoint
 
 
+@lru_cache(maxsize=1024)
+def _line_arrangement(
+    candidates: tuple[Candidate, ...],
+) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...], tuple[Ranking, ...]]:
+    """The 1D rankings of a candidate tuple, shared by every voter.
+
+    Returns the sorted distinct pair midpoints `mids`, the ranking at each
+    midpoint, and the ranking on each of the len(mids)+1 open cells, where
+    cell j is the open interval just left of mids[j] (the last cell is the
+    ray right of the last midpoint).  Each pair's distance order flips only
+    at its midpoint, so the ranking is constant on every open cell; this
+    takes at most 2*C(m,2)+1 distance sorts.
+    """
+    points = set()
+    for a, b in itertools.combinations(candidates, 2):
+        if len(a.position) != 1 or len(b.position) != 1:
+            raise DimensionMismatch("tie_points_1d needs 1-dimensional candidates")
+        points.add((a.position[0] + b.position[0]) / 2)
+    mids = tuple(sorted(points))
+    inside = [(a + b) / 2 for a, b in zip(mids, mids[1:])]
+    cell_points = [mids[0] - 1, *inside, mids[-1] + 1] if mids else [Fraction(0)]
+    at_mids = tuple(rank_from_point((x,), candidates) for x in mids)
+    cells = tuple(rank_from_point((x,), candidates) for x in cell_points)
+    return mids, at_mids, cells
+
+
 def tie_points_1d(
     candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
 ) -> list[Fraction]:
@@ -74,14 +105,8 @@ def tie_points_1d(
     lo, hi = interval
     if lo > hi:
         raise ValueError("interval lower bound exceeds upper bound")
-    points = set()
-    for a, b in itertools.combinations(candidates, 2):
-        if len(a.position) != 1 or len(b.position) != 1:
-            raise DimensionMismatch("tie_points_1d needs 1-dimensional candidates")
-        mid = (a.position[0] + b.position[0]) / 2
-        if lo <= mid <= hi:
-            points.add(mid)
-    return sorted(points)
+    mids = _line_arrangement(tuple(candidates))[0]
+    return list(mids[bisect_left(mids, lo) : bisect_right(mids, hi)])
 
 
 def enumerate_rankings_1d(
@@ -90,7 +115,11 @@ def enumerate_rankings_1d(
     """One witness per distinct ranking over a 1D interval of ideal points.
 
     Probes every tie point and every midpoint between consecutive
-    breakpoints; at most C(m,2)+1 distinct rankings come back.
+    breakpoints, in order, and keeps the first witness of each ranking; at
+    most C(m,2)+1 distinct rankings come back.  A probe's ranking is looked
+    up in the candidates' shared `_line_arrangement`: with
+    j = bisect_left(mids, x), it is the tie ranking j when mids[j] == x and
+    the ranking of open cell j otherwise.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     breaks = sorted({lo, hi} | set(tie_points_1d(candidates, (lo, hi))))
@@ -99,10 +128,12 @@ def enumerate_rankings_1d(
         probes.append(a)
         probes.append((a + b) / 2)
     probes.append(breaks[-1])
+    mids, at_mids, cells = _line_arrangement(tuple(candidates))
     out: list[RankingWithWitness] = []
     seen: set[Ranking] = set()
     for x in probes:
-        r = rank_from_point((x,), candidates)
+        j = bisect_left(mids, x)
+        r = at_mids[j] if j < len(mids) and mids[j] == x else cells[j]
         if r not in seen:
             seen.add(r)
             out.append(RankingWithWitness(r, (x,)))

@@ -5,15 +5,16 @@
 among them.  Necessary winners: every positional scoring rule and every fixed
 dimension, in one pass per voter over its completions.  Possible winners, in
 polynomial time: plurality and veto in any dimension (bipartite flows over the
-first/last-place-capable candidate sets); in one dimension, all two-valued
-rules (reduction to equal-length scheduling), weighted veto rules, and the
-three-valued rules F(k, t) with k > t.  Everything else falls back, behind an
-explicit opt-in flag, to one exhaustive oracle pass for all the candidates.
+first/last-place-capable candidate sets, one node per voter type); in one
+dimension, all two-valued rules (reduction to equal-length scheduling),
+weighted veto rules, and the three-valued rules F(k, t) with k > t.
+Everything else falls back, behind an explicit opt-in flag, to one exhaustive
+oracle pass for all the candidates.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -288,28 +289,19 @@ def pw_plurality(profile: PartialSpatialProfile, c: int) -> bool:
 
     Every voter able to rank `c` first does so; the rest must distribute
     their first places so no rival exceeds `c`'s score, which is a bipartite
-    flow with per-rival capacities.
+    flow with per-rival capacities (Betzler & Dorn, JCSS 76(8), 2010).
+    Voters with equal first-place sets form one voter type, a single node
+    whose edges carry the type's multiplicity, so the network has at most
+    2 + (distinct sets) + m nodes whatever the number of voters.
     """
-    firsts = first_place_sets(profile)
-    score = sum(1 for f in firsts if c in f)
-    rest = [i for i, f in enumerate(firsts) if c not in f]
+    types = Counter(first_place_sets(profile))
+    score = sum(n for f, n in types.items() if c in f)
+    rest = {f: n for f, n in types.items() if c not in f}
     if not rest:
         return True
     if score == 0:
         return False
-    m = profile.num_candidates
-    source, sink = 0, 1
-    voter_node = {i: 2 + j for j, i in enumerate(rest)}
-    cand_node = {q: 2 + len(rest) + q for q in range(m)}
-    net = _FlowNetwork(2 + len(rest) + m)
-    for i in rest:
-        net.add_edge(source, voter_node[i], 1)
-        for q in firsts[i]:
-            net.add_edge(voter_node[i], cand_node[q], 1)
-    for q in range(m):
-        if q != c:
-            net.add_edge(cand_node[q], sink, score)
-    return net.max_flow(source, sink) == len(rest)
+    return _typed_flow(profile.num_candidates, c, rest, score) == sum(rest.values())
 
 
 def pw_veto(profile: PartialSpatialProfile, c: int) -> bool:
@@ -317,27 +309,37 @@ def pw_veto(profile: PartialSpatialProfile, c: int) -> bool:
 
     Voters that can only veto `c` do; each rival then needs at least that
     many vetoes, a flow problem with per-rival lower bounds realized as
-    saturating capacities.
+    saturating capacities.  As in `pw_plurality`, voters with equal
+    last-place sets share one type node carrying their multiplicity.
     """
-    lasts = last_place_sets(profile)
-    forced = sum(1 for l in lasts if l == frozenset({c}))
+    only_c = frozenset({c})
+    types = Counter(last_place_sets(profile))
+    forced = types.get(only_c, 0)
     if forced == 0:
         return True
-    free = [i for i, l in enumerate(lasts) if l != frozenset({c})]
+    free = {l: n for l, n in types.items() if l != only_c}
     m = profile.num_candidates
+    return _typed_flow(m, c, free, forced) == (m - 1) * forced
+
+
+def _typed_flow(m: int, c: int, types: dict[frozenset[int], int], cap: int) -> int:
+    """Max flow from voter types to the rivals of `c`, each rival capped at `cap`.
+
+    Source -> type has the type's multiplicity as capacity, and so has every
+    type -> rival edge for the rivals in the type's set.
+    """
     source, sink = 0, 1
-    voter_node = {i: 2 + j for j, i in enumerate(free)}
-    cand_node = {q: 2 + len(free) + q for q in range(m)}
-    net = _FlowNetwork(2 + len(free) + m)
-    for i in free:
-        net.add_edge(source, voter_node[i], 1)
-        for q in lasts[i]:
+    cand_node = 2 + len(types)
+    net = _FlowNetwork(cand_node + m)
+    for node, (places, n) in enumerate(types.items(), start=2):
+        net.add_edge(source, node, n)
+        for q in places:
             if q != c:
-                net.add_edge(voter_node[i], cand_node[q], 1)
+                net.add_edge(node, cand_node + q, n)
     for q in range(m):
         if q != c:
-            net.add_edge(cand_node[q], sink, forced)
-    return net.max_flow(source, sink) == (m - 1) * forced
+            net.add_edge(cand_node + q, sink, cap)
+    return net.max_flow(source, sink)
 
 
 # ---------------------------------------------------------------------------

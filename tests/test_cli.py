@@ -73,6 +73,12 @@ class TestDocuments:
             lambda d: d.update(kind="scheduling", machines=1, jobs=3),
             lambda d: d["candidates"][0].update(id=1),
             lambda d: d["voters"][0].update(id=1),
+            lambda d: d.update(dimension=True),
+            lambda d: d.update(
+                kind="scheduling",
+                machines=True,
+                jobs=[{"id": "j1", "arrival": 1, "deadline": 4, "processing": 3}],
+            ),
         ],
     )
     def test_field_addressed_errors(self, mutate):
@@ -254,8 +260,9 @@ class TestExitCodes:
         [
             ("candidates", 5, "election.candidates"),
             ("voters", [{"id": 1, "bounds": [[0, 1]]}], "election.voters[0].id"),
+            ("dimension", True, "election.dimension"),
         ],
-        ids=["candidates", "voter-id"],
+        ids=["candidates", "voter-id", "dimension-bool"],
     )
     def test_malformed_document(self, capsys, tmp_path, field, value, where):
         doc = load_document(ELECTION)

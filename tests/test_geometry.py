@@ -1,10 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen_helpers import grid_rankings_1d, random_profile_1d, random_profile_2d
+from sweep_reference import reference_enumerate_rankings_1d, reference_tie_points_1d
+from spatialvote import geometry
+from spatialvote.cli import generate_election
 from spatialvote import (
     Candidate,
     Hyperplane,
@@ -82,6 +88,92 @@ class TestEnumerate1D:
             profile = random_profile_1d(rng, m, 1)
             out = enumerate_rankings_1d(profile.candidates, profile.voters[0].bounds[0])
             assert len(out) <= comb(m, 2) + 1
+
+
+@st.composite
+def line_instance(draw):
+    """Candidates on a half-integer grid in any order, duplicates allowed, and
+    an interval whose ends may be equal or sit on tie points."""
+    halves = draw(st.lists(st.integers(-16, 16), min_size=1, max_size=7))
+    candidates = tuple(Candidate(f"c{i}", (Fraction(x, 2),)) for i, x in enumerate(halves))
+    ties = sorted({(a.position[0] + b.position[0]) / 2 for a, b in itertools.combinations(candidates, 2)})
+
+    def endpoint():
+        if ties and draw(st.booleans()):
+            return draw(st.sampled_from(ties))
+        return Fraction(draw(st.integers(-40, 40)), 4)
+
+    a = endpoint()
+    b = a if draw(st.booleans()) else endpoint()
+    return candidates, (min(a, b), max(a, b))
+
+
+def assert_same_as_reference(candidates, interval):
+    got = enumerate_rankings_1d(candidates, interval)
+    assert got == reference_enumerate_rankings_1d(candidates, interval)
+    assert all(type(rw.witness[0]) is Fraction for rw in got)
+    assert tie_points_1d(candidates, interval) == reference_tie_points_1d(candidates, interval)
+
+
+class TestSharedArrangement:
+    """`enumerate_rankings_1d` looks probes up in one arrangement per candidate
+    tuple; it must return exactly what a distance sort at every probe does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line_instance())
+    def test_matches_per_probe_sweep(self, instance):
+        assert_same_as_reference(*instance)
+
+    @pytest.mark.parametrize(
+        "positions, interval",
+        [
+            ((0, 4, 2, 6), (3, 3)),
+            ((0, 4, 2, 6), (Fraction(5, 2), 3)),
+            ((0, 4, 2, 6), (3, Fraction(7, 2))),
+            ((0, 4, 2, 6), (-10, 10)),
+            ((2, 2, 0), (0, 2)),
+            ((2, 2, 0), (1, 1)),
+            ((5, 5, 5), (-1, 9)),
+            ((7,), (0, 1)),
+        ],
+    )
+    def test_fixed_cases(self, positions, interval):
+        candidates = tuple(Candidate(f"c{i}", (x,)) for i, x in enumerate(positions))
+        assert_same_as_reference(candidates, tuple(map(Fraction, interval)))
+
+    def test_random_profiles(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            profile = random_profile_1d(rng, rng.randint(2, 8), 3)
+            order = list(profile.candidates)
+            rng.shuffle(order)
+            for voter in profile.voters:
+                assert_same_as_reference(tuple(order), voter.bounds[0])
+
+    def test_one_arrangement_per_candidate_tuple(self, monkeypatch):
+        geometry.ranking_completions.cache_clear()
+        geometry._line_arrangement.cache_clear()
+        calls = []
+
+        def counting(point, candidates):
+            calls.append(point)
+            return rank_from_point(point, candidates)
+
+        monkeypatch.setattr(geometry, "rank_from_point", counting)
+        for seed in (31, 32):
+            before = len(calls)
+            profile = generate_election(seed, 1, 8, 200, 8, 1)
+            for voter in profile.voters:
+                geometry.ranking_completions(profile.candidates, voter.bounds)
+            mids = reference_tie_points_1d(profile.candidates, (-9, 9))
+            # one sort per tie point and per open cell, at most 2*C(8,2)+1
+            assert len(calls) - before == 2 * len(mids) + 1 <= 2 * comb(8, 2) + 1
+        # the arrangement outlives the per-box cache
+        total = len(calls)
+        geometry.ranking_completions.cache_clear()
+        for voter in profile.voters:
+            geometry.ranking_completions(profile.candidates, voter.bounds)
+        assert len(calls) == total
 
 
 class TestBisectors:

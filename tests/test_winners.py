@@ -26,7 +26,13 @@ from spatialvote import (
 from spatialvote import oracle
 from spatialvote.errors import DimensionMismatch
 from spatialvote.geometry import ranking_completions, tie_points_1d
-from spatialvote.winners import approval_windows_1d, restrict_profile
+from spatialvote.winners import (
+    _FlowNetwork,
+    approval_windows_1d,
+    first_place_sets,
+    last_place_sets,
+    restrict_profile,
+)
 
 
 def line_profile(positions, boxes):
@@ -38,6 +44,16 @@ def line_profile(positions, boxes):
 
 
 REFERENCE = line_profile([1, 2, 3], [(1, 3)])
+
+
+def many_voters_on_few_boxes(rng, dimension, m=5, n=60, num_boxes=4):
+    """`n` voters that share `num_boxes` distinct boxes on a half-integer grid."""
+    base = (random_profile_1d if dimension == 1 else random_profile_2d)(rng, m, 0)
+    boxes = []
+    for _ in range(num_boxes):
+        corner = [Fraction(rng.randint(-16, 16), 2) for _ in range(dimension)]
+        boxes.append(tuple((x, x + Fraction(rng.randint(0, 8), 2)) for x in corner))
+    return base.with_voters(tuple(VoterBox(f"v{i + 1}", rng.choice(boxes)) for i in range(n)))
 
 
 class TestApprovalWindows:
@@ -177,6 +193,32 @@ class TestFlows:
             2, (Candidate("a", (0, 0)), Candidate("b", (1, 1))), ()
         )
         assert pw_plurality(profile, 0) and pw_veto(profile, 1)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize(
+        "rule, place_sets",
+        [(ScoringRule.plurality(), first_place_sets), (ScoringRule.veto(), last_place_sets)],
+        ids=["plurality", "veto"],
+    )
+    def test_one_node_per_voter_type(self, monkeypatch, dimension, rule, place_sets):
+        sizes = []
+        init = _FlowNetwork.__init__
+
+        def record(net, num_nodes):
+            sizes.append(num_nodes)
+            init(net, num_nodes)
+
+        monkeypatch.setattr(_FlowNetwork, "__init__", record)
+        rng = random.Random(61 + dimension)
+        networks = 0
+        for _ in range(12):
+            profile = many_voters_on_few_boxes(rng, dimension)
+            sizes.clear()
+            assert possible_winner(profile, rule, range(5)) == brute_pw(profile, rule, 10**100)
+            types = len(set(place_sets(profile)))
+            assert all(size <= 2 + types + 5 for size in sizes)
+            networks += len(sizes)
+        assert networks > 0
 
 
 class TestNecessaryWinner:
