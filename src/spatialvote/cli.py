@@ -133,7 +133,7 @@ def parse_scheduling(doc: dict) -> SchedulingInstance:
 def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
     kind = _expect(doc, "kind", "document")
     version = _expect(doc, "schema_version", "document")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise InvalidInstance(f"document: unsupported schema_version {version!r}")
     if kind == "election":
         return parse_election(doc)

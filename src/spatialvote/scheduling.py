@@ -205,7 +205,7 @@ def brute_force_schedule(
 
 
 def reduce_scheduling_to_pw(
-    instance: SchedulingInstance, k: int, validate: bool = True
+    instance: SchedulingInstance, k: int
 ) -> tuple[PartialSpatialProfile, str, ScoringRule]:
     """Translate a single-machine instance with lengths {k-1, k} into a 2D
     spatial election in which the target candidate is a possible winner under
@@ -272,8 +272,7 @@ def reduce_scheduling_to_pw(
                 )
 
     profile = PartialSpatialProfile(2, candidates, tuple(voters))
-    if validate:
-        _validate_reduction(profile, jobs, k, span)
+    _validate_reduction(profile, jobs, k, span)
     return profile, "cstar", ScoringRule.k_approval(k)
 
 

@@ -7,7 +7,9 @@ dimension, in one pass per voter over its completions.  Possible winners, in
 polynomial time: plurality and veto in any dimension (bipartite flows over the
 first/last-place-capable candidate sets, one node per voter type); in one
 dimension, all two-valued rules (reduction to equal-length scheduling),
-weighted veto rules, and the three-valued rules F(k, t) with k > t.
+weighted veto rules, and the three-valued rules F(k, t) with k > t.  Each of
+these routes takes the candidate set too: it summarizes every voter's
+completions once per call and decides every candidate from that summary.
 Everything else falls back, behind an explicit opt-in flag, to one exhaustive
 oracle pass for all the candidates.
 """
@@ -15,7 +17,7 @@ oracle pass for all the candidates.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import oracle
@@ -26,29 +28,15 @@ from .errors import (
     SelfCheckFailed,
     UnknownCandidate,
 )
-from .geometry import ranking_completions
+from .geometry import RankingWithWitness, ranking_completions
 from .model import (
     PartialSpatialProfile,
     ScoringRule,
-    VoterBox,
     canonical_vector,
     rank_from_point,  # noqa: F401 -- unused, kept because perfbench/tracer.py patches it
     realize_score_vector,
 )
 from .scheduling import Job, SchedulingInstance, feasible_equal_length
-
-
-@dataclass(frozen=True)
-class ApprovalWindow:
-    """The consecutive candidate range a 1D voter can approve from.
-
-    Every approval completion of the voter is a length-k substring of
-    candidates lo..hi (inclusive, 0-based indices into the sorted order).
-    """
-
-    voter_id: str
-    lo: int
-    hi: int
 
 
 # ---------------------------------------------------------------------------
@@ -98,64 +86,56 @@ def necessary_winner(
 # ---------------------------------------------------------------------------
 
 
-def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> list[ApprovalWindow]:
-    """Per voter, the consecutive candidate range its top-k sets draw from."""
+def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> list[tuple[int, int]]:
+    """Per voter, the window (lo, hi) of consecutive candidates (0-based
+    indices into the sorted order) that its top-k sets draw from."""
     _require_1d(profile)
     m = profile.num_candidates
     if not 1 <= k <= m - 1:
         raise RuleMismatch(f"k={k} is not a two-valued rule at m={m}")
-    windows = []
-    for voter in profile.voters:
-        approved: set[int] = set()
-        for rw in ranking_completions(profile.candidates, voter.bounds):
-            approved.update(rw.ranking[:k])
-        lo, hi = min(approved), max(approved)
-        if len(approved) != hi - lo + 1:
-            raise SelfCheckFailed(f"voter {voter.id!r}: approved set is not consecutive")
-        windows.append(ApprovalWindow(voter.id, lo, hi))
-    return windows
+    return [_window(v.id, ranking_completions(profile.candidates, v.bounds), k) for v in profile.voters]
 
 
-def restrict_profile(
-    windows: Sequence[ApprovalWindow], k: int, c: int
-) -> list[ApprovalWindow]:
-    """Shrink windows so each voter either always or never approves `c`.
+def _window(voter_id: str, completions: Iterable[RankingWithWitness], k: int) -> tuple[int, int]:
+    approved = {cand for rw in completions for cand in rw.ranking[:k]}
+    lo, hi = min(approved), max(approved)
+    if len(approved) != hi - lo + 1:
+        raise SelfCheckFailed(f"voter {voter_id!r}: approved set is not consecutive")
+    return lo, hi
 
-    Voters whose window misses `c` are untouched; a voter whose window
-    contains `c` keeps only [max(lo, c-k+1), min(hi, c+k-1)], inside which
-    every length-k substring contains `c`.  This preserves whether `c` is a
-    possible winner.
+
+def _schedulable(windows: Sequence[tuple[int, int]], k: int, c: int) -> bool:
+    """Whether `c` can win k-approval when each voter approves k consecutive
+    candidates inside its window.
+
+    A window containing `c` shrinks to [max(lo, c-k+1), min(hi, c+k-1)],
+    where every choice approves `c`; this keeps whether `c` can win.  Each
+    window lo..hi becomes an equal-length job (arrival lo+1, deadline hi+2,
+    length k), one machine per voter that approves `c`, and `c` can win
+    exactly when the jobs admit a feasible schedule.
     """
-    out = []
-    for w in windows:
-        if w.lo <= c <= w.hi:
-            out.append(ApprovalWindow(w.voter_id, max(w.lo, c - k + 1), min(w.hi, c + k - 1)))
-        else:
-            out.append(w)
-    return out
-
-
-def pw_two_valued_1d(profile: PartialSpatialProfile, k: int, c: int) -> bool:
-    """Possible winner under k-approval in one dimension.
-
-    After restricting windows around `c`, each voter becomes an equal-length
-    job (window lo..hi maps to arrival lo+1, deadline hi+2, length k) and
-    the machine count is the number of voters that necessarily approve `c`;
-    `c` can win exactly when the jobs admit a feasible schedule.
-    """
-    windows = approval_windows_1d(profile, k)
-    if not windows:
-        return True
-    supporters = sum(1 for w in windows if w.lo <= c <= w.hi)
+    jobs = []
+    supporters = 0
+    for i, (lo, hi) in enumerate(windows):
+        if lo <= c <= hi:
+            supporters += 1
+            lo, hi = max(lo, c - k + 1), min(hi, c + k - 1)
+        jobs.append(Job(id=f"j{i}", arrival=lo + 1, deadline=hi + 2, processing=k))
     if supporters == 0:
-        return False
-    restricted = restrict_profile(windows, k, c)
-    jobs = tuple(
-        Job(id=f"j{i}", arrival=w.lo + 1, deadline=w.hi + 2, processing=k)
-        for i, w in enumerate(restricted)
-    )
-    instance = SchedulingInstance(jobs, machines=supporters)
+        return not windows
+    instance = SchedulingInstance(tuple(jobs), machines=supporters)
     return feasible_equal_length(instance, k) is not None
+
+
+def pw_two_valued_1d(
+    profile: PartialSpatialProfile, k: int, candidates: Iterable[int]
+) -> frozenset[int]:
+    """The possible winners among `candidates` under k-approval in one
+    dimension: one pass over the voters builds their approval windows, then
+    one scheduling instance per candidate decides it."""
+    wanted = _candidate_set(profile, candidates)
+    windows = approval_windows_1d(profile, k)
+    return frozenset(c for c in wanted if _schedulable(windows, k, c))
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +143,49 @@ def pw_two_valued_1d(profile: PartialSpatialProfile, k: int, c: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def pw_weighted_veto_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool:
-    """Possible winner under a weighted veto rule (alpha, ..., alpha, betas)."""
+def pw_weighted_veto_1d(
+    profile: PartialSpatialProfile, rule: ScoringRule, candidates: Iterable[int]
+) -> frozenset[int]:
+    """The possible winners among `candidates` under a weighted veto rule
+    (alpha, ..., alpha, betas) in one dimension.
+
+    A candidate wins iff every voter can rank it above the bottom band, so
+    one pass over the voters intersects the candidates each voter can rank
+    there.  The bottom band always holds the farthest candidates, which sit
+    at the ends of the line, so every middle candidate is in the
+    intersection (it scores the maximal n * alpha in every completion) and
+    only edge candidates, the len(betas) leftmost and rightmost, can fail.
+    """
     _require_1d(profile)
     if rule.kind != "weighted-veto":
         raise RuleMismatch(f"expected a weighted veto rule, got {rule.kind}")
+    wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
     realize_score_vector(rule, m)  # validates 2*len(betas) < m
-    band = len(rule.betas)
-    if band <= c <= m - band - 1:
-        return True  # middle candidates always reach the maximal score
-    # an edge candidate must collect alpha from every voter
-    top = m - band
+    top = m - len(rule.betas)
+    above = set(range(m))
     for voter in profile.voters:
-        if not any(
-            rw.ranking.index(c) < top
-            for rw in ranking_completions(profile.candidates, voter.bounds)
-        ):
-            return False
-    return True
+        completions = ranking_completions(profile.candidates, voter.bounds)
+        above &= {cand for rw in completions for cand in rw.ranking[:top]}
+    return wanted & above
 
 
-def pw_fkt_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool:
-    """Possible winner under F(k, t) with k > t in one dimension.
+def pw_fkt_1d(
+    profile: PartialSpatialProfile, rule: ScoringRule, candidates: Iterable[int]
+) -> frozenset[int]:
+    """The possible winners among `candidates` under F(k, t) with k > t in
+    one dimension.
 
     Middle-band candidates win under F(k, t) exactly when they win under
-    plain k-approval.  An edge candidate must additionally never score zero,
-    so each voter's box is first shrunk to the region where the candidate
-    stays out of the bottom t positions.
+    plain k-approval, and one `pw_two_valued_1d` call decides all of them.
+    An edge candidate c must additionally never score zero, so each voter
+    is kept to its admissible completions, those that rank c above the
+    bottom t positions, and its approval window is read from them.
 
-    That region is a single interval, so shrinking the box to the span of
-    the witnesses of its admissible rankings keeps exactly those rankings.
-    Proof: each rival r ranks above c on a ray of ideal points (ties at the
-    r-c midpoint go by index).  If r sits left of c, the ray comes from
+    The admissible completions are those of a single interval of ideal
+    points, so their top-k sets still form one consecutive window.  Proof:
+    each rival r ranks above c on a ray of ideal points (ties at the r-c
+    midpoint go by index).  If r sits left of c, the ray comes from
     -infinity and ends at the midpoint, before c's position; if r sits right
     of c, the ray starts after c's position.  So the number of rivals above
     c is non-increasing up to c's position and non-decreasing after it, and
@@ -208,22 +198,23 @@ def pw_fkt_1d(profile: PartialSpatialProfile, rule: ScoringRule, c: int) -> bool
     k, t = rule.k, rule.t
     if not k > t:
         raise RuleMismatch(f"F({k},{t}) needs k > t for the polynomial algorithm")
+    wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
     realize_score_vector(rule, m)
-    if t <= c <= m - t - 1:
-        return pw_two_valued_1d(profile, k, c)
-
-    voters = []
-    for voter in profile.voters:
-        xs = [
-            rw.witness[0]
-            for rw in ranking_completions(profile.candidates, voter.bounds)
-            if rw.ranking.index(c) < m - t
-        ]
-        if not xs:
-            return False
-        voters.append(VoterBox(voter.id, ((min(xs), max(xs)),)))
-    return pw_two_valued_1d(profile.with_voters(voters), k, c)
+    middle = wanted & frozenset(range(t, m - t))
+    won = set(pw_two_valued_1d(profile, k, middle)) if middle else set()
+    for c in wanted - middle:
+        windows = []
+        for voter in profile.voters:
+            completions = ranking_completions(profile.candidates, voter.bounds)
+            admissible = [rw for rw in completions if rw.ranking.index(c) < m - t]
+            if not admissible:
+                break
+            windows.append(_window(voter.id, admissible, k))
+        else:
+            if _schedulable(windows, k, c):
+                won.add(c)
+    return frozenset(won)
 
 
 # ---------------------------------------------------------------------------
@@ -284,42 +275,51 @@ def last_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
     ]
 
 
-def pw_plurality(profile: PartialSpatialProfile, c: int) -> bool:
-    """Possible winner under plurality, any fixed dimension.
+def pw_plurality(profile: PartialSpatialProfile, candidates: Iterable[int]) -> frozenset[int]:
+    """The possible winners among `candidates` under plurality, any fixed
+    dimension.
 
     Every voter able to rank `c` first does so; the rest must distribute
     their first places so no rival exceeds `c`'s score, which is a bipartite
     flow with per-rival capacities (Betzler & Dorn, JCSS 76(8), 2010).
     Voters with equal first-place sets form one voter type, a single node
     whose edges carry the type's multiplicity, so the network has at most
-    2 + (distinct sets) + m nodes whatever the number of voters.
+    2 + (distinct sets) + m nodes whatever the number of voters.  The types
+    are counted once per call and shared by every candidate's flow.
     """
+    wanted = _candidate_set(profile, candidates)
     types = Counter(first_place_sets(profile))
-    score = sum(n for f, n in types.items() if c in f)
-    rest = {f: n for f, n in types.items() if c not in f}
-    if not rest:
-        return True
-    if score == 0:
-        return False
-    return _typed_flow(profile.num_candidates, c, rest, score) == sum(rest.values())
+    m = profile.num_candidates
+    won = set()
+    for c in wanted:
+        score = sum(n for f, n in types.items() if c in f)
+        rest = {f: n for f, n in types.items() if c not in f}
+        if not rest or (score > 0 and _typed_flow(m, c, rest, score) == sum(rest.values())):
+            won.add(c)
+    return frozenset(won)
 
 
-def pw_veto(profile: PartialSpatialProfile, c: int) -> bool:
-    """Possible winner under veto, any fixed dimension.
+def pw_veto(profile: PartialSpatialProfile, candidates: Iterable[int]) -> frozenset[int]:
+    """The possible winners among `candidates` under veto, any fixed
+    dimension.
 
     Voters that can only veto `c` do; each rival then needs at least that
     many vetoes, a flow problem with per-rival lower bounds realized as
     saturating capacities.  As in `pw_plurality`, voters with equal
-    last-place sets share one type node carrying their multiplicity.
+    last-place sets share one type node carrying their multiplicity, and
+    the types are counted once per call.
     """
-    only_c = frozenset({c})
+    wanted = _candidate_set(profile, candidates)
     types = Counter(last_place_sets(profile))
-    forced = types.get(only_c, 0)
-    if forced == 0:
-        return True
-    free = {l: n for l, n in types.items() if l != only_c}
     m = profile.num_candidates
-    return _typed_flow(m, c, free, forced) == (m - 1) * forced
+    won = set()
+    for c in wanted:
+        only_c = frozenset({c})
+        forced = types.get(only_c, 0)
+        free = {l: n for l, n in types.items() if l != only_c}
+        if forced == 0 or _typed_flow(m, c, free, forced) == (m - 1) * forced:
+            won.add(c)
+    return frozenset(won)
 
 
 def _typed_flow(m: int, c: int, types: dict[frozenset[int], int], cap: int) -> int:
@@ -349,9 +349,10 @@ def _typed_flow(m: int, c: int, types: dict[frozenset[int], int], cap: int) -> i
 
 def _route(
     profile: PartialSpatialProfile, rule: ScoringRule
-) -> tuple[str, Callable[[int], bool] | None]:
-    """The possible-winner route for this rule/dimension and its per-candidate
-    decider; the oracle route has no decider.
+) -> tuple[str, Callable[..., frozenset[int]] | None]:
+    """The possible-winner route for this rule/dimension and its winner-set
+    function, called as `winner_set(profile, candidates=...)`; the oracle
+    route has none.
 
     Rule families are matched on the canonical vector, which is
     nonincreasing, ends in 0 and starts above 0.
@@ -359,21 +360,19 @@ def _route(
     m = profile.num_candidates
     canon = canonical_vector(realize_score_vector(rule, m))
     if canon == (1,) + (0,) * (m - 1):
-        return "plurality-flow", lambda c: pw_plurality(profile, c)
+        return "plurality-flow", pw_plurality
     if canon == (1,) * (m - 1) + (0,):
-        return "veto-flow", lambda c: pw_veto(profile, c)
+        return "veto-flow", pw_veto
     if profile.dimension == 1:
         if set(canon) == {0, 1}:
-            k = canon.count(1)
-            return "two-valued-1d", lambda c: pw_two_valued_1d(profile, k, c)
+            return "two-valued-1d", partial(pw_two_valued_1d, k=canon.count(1))
         band = m - canon.count(canon[0])
         if 2 * band < m:
             wveto = ScoringRule.weighted_veto(canon[0], canon[m - band :])
-            return "weighted-veto-1d", lambda c: pw_weighted_veto_1d(profile, wveto, c)
+            return "weighted-veto-1d", partial(pw_weighted_veto_1d, rule=wveto)
         k, t = canon.count(2), canon.count(0)
         if set(canon) == {0, 1, 2} and k > t:
-            fkt = ScoringRule.fkt(k, t)
-            return "fkt-1d", lambda c: pw_fkt_1d(profile, fkt, c)
+            return "fkt-1d", partial(pw_fkt_1d, rule=ScoringRule.fkt(k, t))
     return "oracle", None
 
 
@@ -391,14 +390,14 @@ def possible_winner(
 ) -> frozenset[int]:
     """The members of `candidates` that win in some ranking completion.
 
-    Each candidate is decided by the route's polynomial algorithm when one
-    exists; otherwise, behind the flag, one exhaustive oracle pass answers
-    for all of them.
+    The route's polynomial algorithm answers for all of them in one call
+    when one exists; otherwise, behind the flag, one exhaustive oracle pass
+    does.
     """
     wanted = _candidate_set(profile, candidates)
-    _, decide = _route(profile, rule)
-    if decide is not None:
-        return frozenset(c for c in wanted if decide(c))
+    _, winner_set = _route(profile, rule)
+    if winner_set is not None:
+        return winner_set(profile, candidates=wanted)
     if not allow_exponential:
         raise NoPolynomialAlgorithm(
             f"no polynomial possible-winner algorithm for this rule in d={profile.dimension}; "

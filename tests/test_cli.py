@@ -79,6 +79,8 @@ class TestDocuments:
                 machines=True,
                 jobs=[{"id": "j1", "arrival": 1, "deadline": 4, "processing": 3}],
             ),
+            lambda d: d.update(schema_version=True),
+            lambda d: d.update(schema_version=1.0),
         ],
     )
     def test_field_addressed_errors(self, mutate):
@@ -261,8 +263,9 @@ class TestExitCodes:
             ("candidates", 5, "election.candidates"),
             ("voters", [{"id": 1, "bounds": [[0, 1]]}], "election.voters[0].id"),
             ("dimension", True, "election.dimension"),
+            ("schema_version", True, "document"),
         ],
-        ids=["candidates", "voter-id", "dimension-bool"],
+        ids=["candidates", "voter-id", "dimension-bool", "schema-version-bool"],
     )
     def test_malformed_document(self, capsys, tmp_path, field, value, where):
         doc = load_document(ELECTION)

@@ -25,6 +25,7 @@ ELECTION = os.path.join(ROOT, "instances", "three_candidates_line.json")
         ["pw", "--rule", "fkt:2:1"],
         pytest.param(["oracle", "pw", "--rule", "borda"], id="oracle-pw"),
         pytest.param(["pw", "--rule", "borda", "--allow-exponential"], id="pw-allow-exponential"),
+        pytest.param(["pw", "--rule", "plurality"], id="pw-plurality"),
     ],
     ids=lambda c: c[0],
 )
@@ -52,3 +53,6 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         oracle_spans = [span for span in spans if span[0] == "oracle"]
         assert oracle_spans
         assert all(spans[parent][0] != "oracle" for *_, parent in oracle_spans if parent >= 0)
+    if "plurality" in command:
+        # One flow call decides every candidate of the query.
+        assert [span[0] for span in spans].count("winners.flow") == 1

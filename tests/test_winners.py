@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,8 +23,9 @@ from spatialvote import (
     pw_veto,
     pw_weighted_veto_1d,
     route_for,
+    rule_from_text,
 )
-from spatialvote import oracle
+from spatialvote import oracle, winners
 from spatialvote.errors import DimensionMismatch
 from spatialvote.geometry import ranking_completions, tie_points_1d
 from spatialvote.winners import (
@@ -31,7 +33,6 @@ from spatialvote.winners import (
     approval_windows_1d,
     first_place_sets,
     last_place_sets,
-    restrict_profile,
 )
 
 
@@ -58,17 +59,12 @@ def many_voters_on_few_boxes(rng, dimension, m=5, n=60, num_boxes=4):
 
 class TestApprovalWindows:
     def test_reference_instance(self):
-        assert [(w.lo, w.hi) for w in approval_windows_1d(REFERENCE, 1)] == [(0, 2)]
-        assert [(w.lo, w.hi) for w in approval_windows_1d(REFERENCE, 2)] == [(0, 2)]
+        assert approval_windows_1d(REFERENCE, 1) == [(0, 2)]
+        assert approval_windows_1d(REFERENCE, 2) == [(0, 2)]
 
     def test_degenerate_voter(self):
         profile = line_profile([1, 2, 3], [(2, 2)])
-        assert [(w.lo, w.hi) for w in approval_windows_1d(profile, 1)] == [(1, 1)]
-
-    def test_restrict_pins_the_candidate(self):
-        windows = approval_windows_1d(REFERENCE, 1)
-        (w,) = restrict_profile(windows, 1, 2)
-        assert (w.lo, w.hi) == (2, 2)
+        assert approval_windows_1d(profile, 1) == [(1, 1)]
 
     def test_needs_1d(self):
         profile = PartialSpatialProfile(
@@ -80,17 +76,16 @@ class TestApprovalWindows:
 
 class TestTwoValued1D:
     def test_reference_instance(self):
-        for c in range(3):
-            assert pw_two_valued_1d(REFERENCE, 1, c)
-            assert pw_two_valued_1d(REFERENCE, 2, c)
+        for k in (1, 2):
+            check_winner_set(lambda cs: pw_two_valued_1d(REFERENCE, k, cs), 3, {0, 1, 2})
 
     def test_no_supporters(self):
         profile = line_profile([0, 1, 10], [(0, 1), (0, 1)])
-        assert not pw_two_valued_1d(profile, 1, 2)
+        check_winner_set(lambda cs: pw_two_valued_1d(profile, 1, cs), 3, {0, 1})
 
     def test_no_voters(self):
         profile = line_profile([0, 1], [])
-        assert pw_two_valued_1d(profile, 1, 0)
+        check_winner_set(lambda cs: pw_two_valued_1d(profile, 1, cs), 2, {0, 1})
 
     def test_matches_oracle(self):
         rng = random.Random(41)
@@ -99,19 +94,18 @@ class TestTwoValued1D:
             profile = random_profile_1d(rng, m, rng.randint(1, 4))
             k = rng.randint(1, m - 1)
             expected = brute_pw(profile, ScoringRule.k_approval(k))
-            for c in range(m):
-                assert pw_two_valued_1d(profile, k, c) == (c in expected)
+            check_winner_set(lambda cs: pw_two_valued_1d(profile, k, cs), m, expected)
 
 
 class TestWeightedVeto1D:
     def test_middle_band_always_possible(self):
         profile = line_profile([0, 1, 2], [(0, 0)])
         rule = ScoringRule.weighted_veto(2, (1,))
-        assert pw_weighted_veto_1d(profile, rule, 1)
+        check_winner_set(lambda cs: pw_weighted_veto_1d(profile, rule, cs), 3, {0, 1})
 
     def test_rule_kind_checked(self):
         with pytest.raises(RuleMismatch):
-            pw_weighted_veto_1d(REFERENCE, ScoringRule.borda(), 0)
+            pw_weighted_veto_1d(REFERENCE, ScoringRule.borda(), (0,))
 
     def test_matches_oracle(self):
         rng = random.Random(43)
@@ -122,14 +116,13 @@ class TestWeightedVeto1D:
             betas = tuple(sorted((rng.randint(0, 2) for _ in range(band)), reverse=True))
             rule = ScoringRule.weighted_veto(betas[0] + rng.randint(1, 2), betas)
             expected = brute_pw(profile, rule)
-            for c in range(m):
-                assert pw_weighted_veto_1d(profile, rule, c) == (c in expected)
+            check_winner_set(lambda cs: pw_weighted_veto_1d(profile, rule, cs), m, expected)
 
 
 class TestFkt1D:
     def test_requires_k_greater_than_t(self):
         with pytest.raises(RuleMismatch):
-            pw_fkt_1d(REFERENCE, ScoringRule.fkt(1, 1), 0)
+            pw_fkt_1d(REFERENCE, ScoringRule.fkt(1, 1), (0,))
 
     def test_matches_oracle(self):
         rng = random.Random(47)
@@ -143,12 +136,12 @@ class TestFkt1D:
                     break
             rule = ScoringRule.fkt(k, t)
             expected = brute_pw(profile, rule)
-            for c in range(m):
-                assert pw_fkt_1d(profile, rule, c) == (c in expected)
+            check_winner_set(lambda cs: pw_fkt_1d(profile, rule, cs), m, expected)
 
     def test_admissible_region_is_one_interval(self):
-        # pw_fkt_1d shrinks each box to the span of its admissible witnesses;
-        # that keeps exactly the admissible rankings only if they form one interval
+        # pw_fkt_1d reads an edge candidate's approval window from the admissible
+        # completions alone; that window is consecutive because those completions
+        # are exactly the ones of one interval, the span of their witnesses
         rng = random.Random(71)
         for _ in range(60):
             m = rng.randint(3, 7)
@@ -177,22 +170,21 @@ class TestFlows:
         for _ in range(60):
             profile = random_profile_2d(rng, rng.randint(2, 5), rng.randint(1, 4))
             expected = brute_pw(profile, ScoringRule.plurality())
-            for c in range(profile.num_candidates):
-                assert pw_plurality(profile, c) == (c in expected)
+            check_winner_set(lambda cs: pw_plurality(profile, cs), profile.num_candidates, expected)
 
     def test_veto_matches_oracle_2d(self):
         rng = random.Random(59)
         for _ in range(60):
             profile = random_profile_2d(rng, rng.randint(2, 5), rng.randint(1, 4))
             expected = brute_pw(profile, ScoringRule.veto())
-            for c in range(profile.num_candidates):
-                assert pw_veto(profile, c) == (c in expected)
+            check_winner_set(lambda cs: pw_veto(profile, cs), profile.num_candidates, expected)
 
     def test_no_voters(self):
         profile = PartialSpatialProfile(
             2, (Candidate("a", (0, 0)), Candidate("b", (1, 1))), ()
         )
-        assert pw_plurality(profile, 0) and pw_veto(profile, 1)
+        check_winner_set(lambda cs: pw_plurality(profile, cs), 2, {0, 1})
+        check_winner_set(lambda cs: pw_veto(profile, cs), 2, {0, 1})
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize(
@@ -299,6 +291,47 @@ class TestDispatch:
             possible_winner(profile, borda, (5,), allow_exponential=True)
         with pytest.raises(UnknownCandidate):
             necessary_winner(profile, borda, (0, -1))
+        routes = (
+            pw_plurality,
+            pw_veto,
+            partial(pw_two_valued_1d, k=2),
+            partial(pw_weighted_veto_1d, rule=ScoringRule.weighted_veto(3, (2, 1))),
+            partial(pw_fkt_1d, rule=ScoringRule.fkt(2, 1)),
+        )
+        for route in routes:
+            for bad in (5, -1):
+                with pytest.raises(UnknownCandidate):
+                    route(profile, candidates=(0, bad))
+
+    @pytest.mark.parametrize(
+        "rule, route",
+        [
+            ("plurality", "plurality-flow"),
+            ("veto", "veto-flow"),
+            ("approval:3", "two-valued-1d"),
+            ("kveto:2", "two-valued-1d"),
+            ("wveto:3:2,1", "weighted-veto-1d"),
+            ("fkt:2:1", "fkt-1d"),
+        ],
+    )
+    def test_one_completion_lookup_per_voter(self, monkeypatch, rule, route):
+        lookups = []
+
+        def counting(candidates, bounds):
+            lookups.append(bounds)
+            return ranking_completions(candidates, bounds)
+
+        monkeypatch.setattr(winners, "ranking_completions", counting)
+        m, n = 6, 4
+        profile = random_profile_1d(random.Random(73), m, n)
+        rule = rule_from_text(rule)
+        assert route_for(profile, rule) == route
+        assert possible_winner(profile, rule, range(m)) == brute_pw(profile, rule)
+        if route == "fkt-1d":
+            edges = 2 * rule.t
+            assert 0 < len(lookups) <= n * (1 + edges)
+        else:
+            assert len(lookups) == n
 
     def test_dispatch_agrees_with_oracle_across_rules(self):
         rng = random.Random(67)
