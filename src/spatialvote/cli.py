@@ -2,10 +2,10 @@
 
 Instance documents are JSON with a `schema_version` field and a `kind` of
 either "election" or "scheduling".  Every rational number is carried as a
-string ("3/2", "-1", "2") so no value ever passes through binary floats;
-plain JSON integers are accepted on input and normalized on output.  Output
-is deterministic: keys sorted, candidate sets sorted by id, identical
-invocations byte-identical.
+string of the form `-?[0-9]+(/[0-9]+)?` ("3/2", "-1", "2") so no value ever
+passes through binary floats; plain JSON integers are accepted on input and
+normalized on output.  Output is deterministic: keys sorted, candidate sets
+sorted by id, identical invocations byte-identical.
 
 Exit codes: 0 success, 1 structured diagnostic (bad input, undefined rule,
 no polynomial algorithm without --allow-exponential), 2 guard violation.
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -25,14 +26,7 @@ from typing import Any, Iterable, Optional, Sequence
 from . import oracle
 from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError
 from .geometry import bisectors, ranking_completions, specify_faces
-from .model import (
-    Candidate,
-    PartialSpatialProfile,
-    VoterBox,
-    as_rational,
-    rule_from_text,
-    rule_to_text,
-)
+from .model import Candidate, PartialSpatialProfile, VoterBox, rule_from_text, rule_to_text
 from .scheduling import Job, SchedulingInstance, reduce_scheduling_to_pw
 from .winners import necessary_winner, possible_winner
 
@@ -43,103 +37,101 @@ SCHEMA_VERSION = 1
 # Documents
 # ---------------------------------------------------------------------------
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-def _rat(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InvalidInstance(f"{where}: expected a rational string or integer, got {value!r}")
+
+def _describe(value: Any) -> str:
+    """A bounded description of a JSON value for a diagnostic; containers are
+    named, not printed, since printing a deeply nested one recurses."""
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _any(value: Any) -> Any:
+    return value
+
+
+def _integer(value: Any) -> int:
+    if type(value) is int:  # not `bool`: true/false are not counts
+        return value
+    raise ValueError(f"expected an integer, got {_describe(value)}")
+
+
+def _string(value: Any) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {_describe(value)}")
+
+
+def _rational(value: Any) -> Fraction:
+    if type(value) is int or (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        return Fraction(value)
+    raise ValueError(f'expected an integer or a string like "-3/2", got {_describe(value)}')
+
+
+# A schema is a leaf converter, an object {field: schema} (unknown fields are
+# ignored), an array [schema] of any length, or a fixed-length array
+# (schema, ...).  `kind` selects the body's table.
+_HEADER = {"kind": _string, "schema_version": _any}
+_BODIES = {
+    "election": {
+        "dimension": _integer,
+        "candidates": [{"id": _string, "position": [_rational]}],
+        "voters": [{"id": _string, "bounds": [(_rational, _rational)]}],
+    },
+    "scheduling": {
+        "machines": _integer,
+        "jobs": [{"id": _string, "arrival": _integer, "deadline": _integer, "processing": _integer}],
+    },
+}
+
+
+def _walk(schema: Any, value: Any, where: str) -> Any:
+    """Check `value` against `schema` and convert its leaves; the recursion
+    follows the schema, so its depth does not depend on the input."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise InvalidInstance(f"{where}: expected an object, got {_describe(value)}")
+        fields = {}
+        for field, sub in schema.items():
+            if field not in value:
+                raise InvalidInstance(f"{where}: missing field {field!r}")
+            fields[field] = _walk(sub, value[field], f"{where}.{field}")
+        return fields
+    if isinstance(schema, (list, tuple)):
+        if not isinstance(value, list) or (isinstance(schema, tuple) and len(value) != len(schema)):
+            shape = "an array" if isinstance(schema, list) else f"an array of {len(schema)}"
+            raise InvalidInstance(f"{where}: expected {shape}, got {_describe(value)}")
+        subs = schema * len(value) if isinstance(schema, list) else schema
+        return tuple(_walk(sub, item, f"{where}[{i}]") for i, (sub, item) in enumerate(zip(subs, value)))
     try:
-        return as_rational(value)
+        return schema(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInstance(f"{where}: {exc}") from exc
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; `bool` is an `int` subclass, but true/false are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _expect(doc: Any, field: str, where: str) -> Any:
-    if not isinstance(doc, dict) or field not in doc:
-        raise InvalidInstance(f"{where}: missing field {field!r}")
-    return doc[field]
-
-
-def _array(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise InvalidInstance(f"{where}: expected an array, got {value!r}")
-    return value
-
-
-def _id(entry: Any, where: str) -> str:
-    value = _expect(entry, "id", where)
-    if not isinstance(value, str):
-        raise InvalidInstance(f"{where}.id: expected a string, got {value!r}")
-    return value
-
-
-def parse_election(doc: dict) -> PartialSpatialProfile:
-    dimension = _expect(doc, "dimension", "election")
-    if not _is_int(dimension) or dimension < 1:
-        raise InvalidInstance("election.dimension: expected a positive integer")
-    candidates = []
-    for i, entry in enumerate(_array(_expect(doc, "candidates", "election"), "election.candidates")):
-        where = f"election.candidates[{i}]"
-        cid = _id(entry, where)
-        coords = _array(_expect(entry, "position", where), f"{where}.position")
-        position = tuple(_rat(x, f"{where}.position[{j}]") for j, x in enumerate(coords))
-        candidates.append(Candidate(cid, position))
-    voters = []
-    for i, entry in enumerate(_array(doc.get("voters", []), "election.voters")):
-        where = f"election.voters[{i}]"
-        vid = _id(entry, where)
-        bounds = []
-        for j, pair in enumerate(_array(_expect(entry, "bounds", where), f"{where}.bounds")):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InvalidInstance(f"{where}.bounds[{j}]: expected a [lo, hi] pair")
-            bounds.append((_rat(pair[0], f"{where}.bounds[{j}][0]"), _rat(pair[1], f"{where}.bounds[{j}][1]")))
-        try:
-            voters.append(VoterBox(vid, tuple(bounds)))
-        except ValueError as exc:
-            raise InvalidInstance(f"{where}: {exc}") from exc
-    try:
-        return PartialSpatialProfile(dimension, tuple(candidates), tuple(voters))
-    except (ValueError, SpatialVoteError) as exc:
-        raise InvalidInstance(f"election: {exc}") from exc
-
-
-def parse_scheduling(doc: dict) -> SchedulingInstance:
-    machines = _expect(doc, "machines", "scheduling")
-    if not _is_int(machines):
-        raise InvalidInstance("scheduling.machines: expected an integer")
-    jobs = []
-    for i, entry in enumerate(_array(_expect(doc, "jobs", "scheduling"), "scheduling.jobs")):
-        where = f"scheduling.jobs[{i}]"
-        fields = {}
-        for f in ("arrival", "deadline", "processing"):
-            value = _expect(entry, f, where)
-            if not _is_int(value):
-                raise InvalidInstance(f"{where}.{f}: expected an integer")
-            fields[f] = value
-        try:
-            jobs.append(Job(_id(entry, where), **fields))
-        except ValueError as exc:
-            raise InvalidInstance(f"{where}: {exc}") from exc
-    try:
-        return SchedulingInstance(tuple(jobs), machines)
-    except ValueError as exc:
-        raise InvalidInstance(f"scheduling: {exc}") from exc
-
-
 def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
-    kind = _expect(doc, "kind", "document")
-    version = _expect(doc, "schema_version", "document")
-    if not _is_int(version) or version != SCHEMA_VERSION:
-        raise InvalidInstance(f"document: unsupported schema_version {version!r}")
+    header = _walk(_HEADER, doc, "document")
+    kind, version = header["kind"], header["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InvalidInstance(f"document: unsupported schema_version {_describe(version)}")
+    if kind not in _BODIES:
+        raise InvalidInstance(f"document: unknown kind {_describe(kind)}")
     if kind == "election":
-        return parse_election(doc)
-    if kind == "scheduling":
-        return parse_scheduling(doc)
-    raise InvalidInstance(f"document: unknown kind {kind!r}")
+        doc = {"voters": [], **doc}
+    body = _walk(_BODIES[kind], doc, kind)
+    try:
+        if kind == "election":
+            return PartialSpatialProfile(
+                body["dimension"],
+                tuple(Candidate(c["id"], c["position"]) for c in body["candidates"]),
+                tuple(VoterBox(v["id"], v["bounds"]) for v in body["voters"]),
+            )
+        return SchedulingInstance(tuple(Job(**job) for job in body["jobs"]), body["machines"])
+    except (ValueError, SpatialVoteError) as exc:
+        raise InvalidInstance(f"{kind}: {exc}") from exc
 
 
 def election_to_document(profile: PartialSpatialProfile) -> dict:
@@ -177,23 +169,19 @@ def load_document(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InvalidInstance(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInstance(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # also undecodable bytes and over-long integers
+        raise InvalidInstance(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInstance(f"{path}: nesting too deep") from exc
 
 
-def _load_election(path: str) -> PartialSpatialProfile:
-    instance = parse_document(load_document(path))
-    if not isinstance(instance, PartialSpatialProfile):
-        raise InvalidInstance(f"{path}: expected an election document")
-    return instance
-
-
-def _load_scheduling(path: str) -> SchedulingInstance:
-    instance = parse_document(load_document(path))
-    if not isinstance(instance, SchedulingInstance):
-        raise InvalidInstance(f"{path}: expected a scheduling document")
+def _load(path: str, kind: str) -> Any:
+    doc = load_document(path)
+    instance = parse_document(doc)
+    if doc["kind"] != kind:
+        raise InvalidInstance(f"{path}: expected a document of kind {kind!r}")
     return instance
 
 
@@ -276,7 +264,7 @@ def _emit_winners(args, profile: PartialSpatialProfile, members: Iterable[int]) 
 
 
 def cmd_rankings(args) -> int:
-    profile = _load_election(args.instance)
+    profile = _load(args.instance, "election")
     voters = profile.voters
     if args.voter is not None:
         voters = tuple(v for v in voters if v.id == args.voter)
@@ -296,7 +284,7 @@ def cmd_rankings(args) -> int:
 
 
 def _membership_command(args, winner_set) -> int:
-    profile = _load_election(args.instance)
+    profile = _load(args.instance, "election")
     rule = rule_from_text(args.rule)
     if args.candidate is not None:
         c = profile.candidate_index(args.candidate)
@@ -319,7 +307,7 @@ def cmd_pw(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    profile = _load_election(args.instance)
+    profile = _load(args.instance, "election")
     rule = rule_from_text(args.rule)
     fn = oracle.brute_pw if args.which == "pw" else oracle.brute_nw
     _emit_winners(args, profile, fn(profile, rule, _guard_value(args)))
@@ -327,7 +315,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce_sched(args) -> int:
-    instance = _load_scheduling(args.instance)
+    instance = _load(args.instance, "scheduling")
     profile, target, rule = reduce_scheduling_to_pw(instance, args.k)
     doc = election_to_document(profile)
     doc["target_candidate"] = target
@@ -349,7 +337,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_faces(args) -> int:
-    profile = _load_election(args.instance)
+    profile = _load(args.instance, "election")
     planes = bisectors(profile.candidates)
     faces = specify_faces(planes, profile.dimension)
     payload = {"num_hyperplanes": len(planes), "num_faces": len(faces)}
@@ -388,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         if candidate:
             p.add_argument("--candidate", help="restrict to a membership verdict for this candidate id")
         if guard:
-            p.add_argument("--guard", type=int, help="completion-count guard (default SVK_GUARD or 10^6)")
+            p.add_argument("--guard", type=int, help="oracle work guard per voter step (default SVK_GUARD or 10^6)")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("rankings", help="ranking completions per voter, with witnesses")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DimensionMismatch, RuleUndefinedAtM, SelfCheckFailed, UnknownCandidate
 
@@ -129,18 +129,15 @@ class PartialSpatialProfile:
                 return i
         raise UnknownCandidate(f"no candidate with id {candidate_id!r}")
 
-    def with_voters(self, voters: Iterable[VoterBox]) -> "PartialSpatialProfile":
-        return PartialSpatialProfile(self.dimension, self.candidates, tuple(voters))
-
 
 @dataclass(frozen=True)
 class ScoringRule:
     """A positional scoring rule: a family of nonincreasing score vectors.
 
     Use the classmethod constructors; ``realize_score_vector`` produces the
-    concrete vector for a given number of candidates m.  For two-valued rules
-    the approval count may be a constant k, the k-veto form m-k, or a linear
-    closed form a*m+b (rejected at m if the result leaves [1, m-1]).
+    concrete vector for a given number of candidates m.  Two-valued rules
+    approve a constant k (k-approval) or m-k (k-veto) candidates; either is
+    rejected at m if the count leaves [1, m-1].
     """
 
     kind: str
@@ -149,7 +146,6 @@ class ScoringRule:
     alpha: int | None = None
     betas: tuple[int, ...] = ()
     vector: tuple[int, ...] = ()
-    k_linear: tuple[int, int] | None = None
 
     @classmethod
     def plurality(cls) -> "ScoringRule":
@@ -168,11 +164,6 @@ class ScoringRule:
         if k < 1:
             raise ValueError("k-approval needs k >= 1")
         return cls("k-approval", k=k)
-
-    @classmethod
-    def k_approval_linear(cls, a: int, b: int) -> "ScoringRule":
-        """Two-valued rule approving a*m+b candidates at each m."""
-        return cls("k-approval", k_linear=(a, b))
 
     @classmethod
     def k_veto(cls, k: int) -> "ScoringRule":
@@ -224,11 +215,7 @@ def realize_score_vector(rule: ScoringRule, m: int) -> tuple[int, ...]:
     elif rule.kind == "borda":
         vec = tuple(range(m - 1, -1, -1))
     elif rule.kind == "k-approval":
-        if rule.k_linear is not None:
-            a, b = rule.k_linear
-            k = a * m + b
-        else:
-            k = rule.k
+        k = rule.k
         if not 1 <= k <= m - 1:
             raise RuleUndefinedAtM(f"k-approval with k={k} undefined for m={m}")
         vec = (1,) * k + (0,) * (m - k)
@@ -286,7 +273,7 @@ def rule_from_text(text: str) -> ScoringRule:
 def rule_to_text(rule: ScoringRule) -> str:
     if rule.kind in ("plurality", "veto", "borda"):
         return rule.kind
-    if rule.kind == "k-approval" and rule.k is not None:
+    if rule.kind == "k-approval":
         return f"approval:{rule.k}"
     if rule.kind == "k-veto":
         return f"kveto:{rule.k}"

@@ -7,7 +7,9 @@ completion: winners depend only on the candidates' score totals, so one
 iterative fold over the voters builds the set of totals that some completion
 reaches (per voter, every reached total plus every distinct score vector the
 voter can contribute), and the possible and necessary winners are the union
-and intersection of the winner sets of those totals.
+and intersection of the winner sets of those totals.  The guard bounds the
+work the fold does: before each voter's step, the number of (total,
+contribution) pairs that step would combine.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ def completion_lists(profile: PartialSpatialProfile) -> list[tuple]:
     return [ranking_completions(profile.candidates, v.bounds) for v in profile.voters]
 
 
-def _check_guard(count: int, guard: int) -> None:
+def _check_guard(count: int, guard: int, what: str) -> None:
     if count > guard:
-        raise InstanceTooLarge(f"{count} completions exceed the guard of {guard}")
+        raise InstanceTooLarge(f"{count} {what} exceed the guard of {guard}")
 
 
 def enumerate_completions(
@@ -43,7 +45,7 @@ def enumerate_completions(
 ) -> Iterator[tuple[Ranking, ...]]:
     """Yield every ranking profile exactly once, voter-major lexicographic."""
     lists = completion_lists(profile)
-    _check_guard(prod(len(lst) for lst in lists), guard)
+    _check_guard(prod(len(lst) for lst in lists), guard, "completions")
     n = len(lists)
     if n == 0:
         yield ()
@@ -60,12 +62,9 @@ def enumerate_completions(
         idx[j] += 1
 
 
-def _score_choices(
-    profile: PartialSpatialProfile, rule: ScoringRule, guard: int
-) -> list[list[tuple[int, ...]]]:
+def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> list[list[tuple[int, ...]]]:
     """Per voter, the distinct per-candidate score contributions."""
     lists = completion_lists(profile)
-    _check_guard(prod(len(lst) for lst in lists), guard)
     m = profile.num_candidates
     vec = realize_score_vector(rule, m)
     choices = []
@@ -86,7 +85,8 @@ def _winner_sets(
     """(union, intersection) of the winner sets over every completion."""
     m = profile.num_candidates
     reachable = {(0,) * m}
-    for contribs in _score_choices(profile, rule, guard):
+    for contribs in _score_choices(profile, rule):
+        _check_guard(len(reachable) * len(contribs), guard, "score-total pairs in one voter step")
         reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
     union, inter = frozenset(), frozenset(range(m))
     for totals in reachable:

@@ -221,7 +221,9 @@ def test_c9_structural_invariants(capsys):
         for profile, rule, pw, nw in TOUCHED:
             assert nw <= pw
             assert pw
-            reversed_profile = profile.with_voters(tuple(reversed(profile.voters)))
+            reversed_profile = PartialSpatialProfile(
+                profile.dimension, profile.candidates, tuple(reversed(profile.voters))
+            )
             assert brute_pw(reversed_profile, rule) == pw
             assert brute_nw(reversed_profile, rule) == nw
             m = profile.num_candidates

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import random
 
 import pytest
 
@@ -81,6 +83,11 @@ class TestDocuments:
             ),
             lambda d: d.update(schema_version=True),
             lambda d: d.update(schema_version=1.0),
+            lambda d: d["candidates"][0].update(position=["1e2000000"]),
+            *(
+                lambda d, text=text: d["candidates"][0].update(position=[text])
+                for text in ("1.5", "+1", "1e3", " 1", "1_000", "1/-2", "1/0", "1" * 5000)
+            ),
         ],
     )
     def test_field_addressed_errors(self, mutate):
@@ -264,8 +271,13 @@ class TestExitCodes:
             ("voters", [{"id": 1, "bounds": [[0, 1]]}], "election.voters[0].id"),
             ("dimension", True, "election.dimension"),
             ("schema_version", True, "document"),
+            (
+                "candidates",
+                [{"id": f"c{i + 1}", "position": [x]} for i, x in enumerate(["1e2000000", "2", "3"])],
+                "election.candidates[0].position[0]",
+            ),
         ],
-        ids=["candidates", "voter-id", "dimension-bool", "schema-version-bool"],
+        ids=["candidates", "voter-id", "dimension-bool", "schema-version-bool", "exponent"],
     )
     def test_malformed_document(self, capsys, tmp_path, field, value, where):
         doc = load_document(ELECTION)
@@ -274,6 +286,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InvalidInstance" and error["message"].startswith(where + ":")
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "rankings", "--instance", str(path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInstance" and error["message"].endswith(": nesting too deep")
 
     def test_unknown_voter(self, capsys):
         code, _, err = run(capsys, "rankings", "--instance", ELECTION, "--voter", "nobody")
@@ -301,3 +321,89 @@ class TestExitCodes:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "UnknownCandidate" and "'nope'" in error["message"]
+
+
+FUZZ_COMMANDS = [
+    ["rankings"],
+    ["pw", "--rule", "plurality"],
+    ["nw", "--rule", "borda"],
+    ["faces"],
+    ["oracle", "pw", "--rule", "plurality"],
+    ["reduce-sched", "--k", "3"],
+]
+
+
+def _random_value(rng, depth=0):
+    """A small JSON value; integers stay in [-2, 12] so no mutant builds a large profile."""
+    kind = rng.choice(("int", "bool", "float", "str", "null", "array", "object")[: 7 if depth < 2 else 5])
+    if kind == "int":
+        return rng.randint(-2, 12)
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "float":
+        return rng.choice((0.5, -1.0, 2.0, 1e300))
+    if kind == "str":
+        return rng.choice(("", "1", "-3/2", "7/0", "1e3", "x", "election", "scheduling"))
+    if kind == "null":
+        return None
+    if kind == "array":
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 2))]
+    return {rng.choice(("id", "bounds", "kind", "jobs")): _random_value(rng, depth + 1)}
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    slots = []
+    for key, child in items:
+        slots.append((node, key))
+        slots.extend(_slots(child))
+    return slots
+
+
+def _mutate(rng, doc, actions):
+    """Drop, retype, renumber, duplicate or nest one field or array element of `doc`."""
+    container, key = rng.choice(_slots(doc))
+    value = container[key]
+    action = rng.choice(actions)
+    if action == "drop":
+        del container[key]
+    elif action == "retype":
+        container[key] = _random_value(rng)
+    elif action == "renumber":
+        number = rng.randint(-2, 12)
+        container[key] = rng.choice((number, str(number), f"{number}/{rng.randint(0, 3)}"))
+    elif action == "duplicate" and isinstance(container, list):
+        twin = copy.deepcopy(value)
+        if isinstance(twin, dict) and isinstance(twin.get("id"), str):
+            twin["id"] += "'"  # a second voter, candidate or job rather than a clash
+        container.insert(key, twin)
+    elif action == "duplicate":
+        container[rng.choice(list(container))] = copy.deepcopy(value)
+    else:
+        container[key] = [value] if rng.random() < 0.5 else {"id": value}
+
+
+def test_mutated_documents_never_raise(capsys, tmp_path):
+    """Every command on every mutant exits 0, 1 or 2, and each nonzero exit
+    writes exactly one JSON diagnostic to stderr."""
+    rng = random.Random(20231)
+    originals = [load_document(ELECTION), load_document(SCHEDULING)]
+    path = str(tmp_path / "mutant.json")
+    for trial in range(120):
+        doc = copy.deepcopy(originals[trial % 2])
+        # half the mutants only renumber or duplicate, so more of them parse and reach the queries
+        actions = ("renumber", "duplicate") if trial % 4 < 2 else ("drop", "retype", "renumber", "duplicate", "nest")
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            _mutate(rng, doc, actions)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in FUZZ_COMMANDS:
+            code, _, err = run(capsys, *command, "--instance", path)
+            context = f"{command} on {json.dumps(doc)}"
+            assert code in (0, 1, 2), context
+            if code:
+                error = json.loads(err)["error"]
+                assert set(error) == {"type", "message"}, context
+            else:
+                assert err == "", context

@@ -89,11 +89,6 @@ class TestScoreVectors:
         assert realize_score_vector(ScoringRule.fkt(2, 1), 5) == (2, 2, 1, 1, 0)
         assert realize_score_vector(ScoringRule.explicit((4, 2, 0)), 3) == (4, 2, 0)
 
-    def test_linear_approval_count(self):
-        rule = ScoringRule.k_approval_linear(1, -1)  # approve all but one
-        assert realize_score_vector(rule, 4) == (1, 1, 1, 0)
-        assert realize_score_vector(rule, 3) == (1, 1, 0)
-
     def test_undefined_at_m(self):
         with pytest.raises(RuleUndefinedAtM):
             realize_score_vector(ScoringRule.k_approval(3), 3)
@@ -103,8 +98,6 @@ class TestScoreVectors:
             realize_score_vector(ScoringRule.fkt(3, 2), 4)
         with pytest.raises(RuleUndefinedAtM):
             realize_score_vector(ScoringRule.explicit((1, 0)), 3)
-        with pytest.raises(RuleUndefinedAtM):
-            realize_score_vector(ScoringRule.k_approval_linear(1, 0), 4)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

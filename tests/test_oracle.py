@@ -61,6 +61,30 @@ class TestEnumeration:
         with pytest.raises(InstanceTooLarge):
             brute_pw(profile, ScoringRule.plurality(), guard=10)
 
+    @pytest.mark.parametrize(
+        "rule, boxes, step_work",
+        [
+            (ScoringRule.plurality(), [(0, 5)] * 4, 336),
+            (ScoringRule.borda(), [(0, 3), (2, 5), (0, 5), (1, 4)], 1330),
+        ],
+        ids=["plurality", "borda"],
+    )
+    def test_guard_counts_fold_work(self, rule, boxes, step_work):
+        # 10,000 and 2,940 completions: the product guard would reject both
+        profile = line_profile(list(range(6)), boxes)
+        with pytest.raises(InstanceTooLarge):
+            list(enumerate_completions(profile, guard=step_work))
+        union: set[int] = set()
+        inter = set(range(6))
+        for rankings in enumerate_completions(profile, guard=10**4):
+            w = winners_of_rankings(list(rankings), rule)
+            union |= w
+            inter &= w
+        assert brute_pw(profile, rule, guard=step_work) == frozenset(union)
+        assert brute_nw(profile, rule, guard=step_work) == frozenset(inter)
+        with pytest.raises(InstanceTooLarge):
+            brute_pw(profile, rule, guard=step_work - 1)
+
 
 class TestWinnerSets:
     def test_reference_instance(self):

@@ -54,7 +54,8 @@ def many_voters_on_few_boxes(rng, dimension, m=5, n=60, num_boxes=4):
     for _ in range(num_boxes):
         corner = [Fraction(rng.randint(-16, 16), 2) for _ in range(dimension)]
         boxes.append(tuple((x, x + Fraction(rng.randint(0, 8), 2)) for x in corner))
-    return base.with_voters(tuple(VoterBox(f"v{i + 1}", rng.choice(boxes)) for i in range(n)))
+    voters = tuple(VoterBox(f"v{i + 1}", rng.choice(boxes)) for i in range(n))
+    return PartialSpatialProfile(dimension, base.candidates, voters)
 
 
 class TestApprovalWindows:
