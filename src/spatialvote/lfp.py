@@ -7,9 +7,10 @@ back-substitution, taking the midpoint of each variable's feasible interval
 (or an interior point offset by 1 when one side is open).
 
 Elimination is fraction-free, in the spirit of Bareiss (Math. Comp. 22,
-1968): each input row is scaled once by the lcm of its denominators to an
-integer vector (coefficients and constant), and every row, input or
-combined, is divided by the gcd of its entries.  The resulting primitive
+1968): each input row is scaled by the lcm of its denominators to an
+integer vector (coefficients and constant), once per `LinearInequality`
+object however many systems share it, and every row, input or combined,
+is divided by the gcd of its entries.  The resulting primitive
 vector is the one integer representative of its halfspace under positive
 scaling, so it doubles as the key that drops duplicate rows.  `Fraction`
 appears only in back-substitution and in the final exact re-check of the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -42,6 +44,15 @@ class LinearInequality:
     def holds(self, point: Sequence[Fraction]) -> bool:
         lhs = sum(a * x for a, x in zip(self.coeffs, point))
         return lhs < self.constant if self.strict else lhs <= self.constant
+
+    @cached_property
+    def integer_row(self) -> tuple[tuple[int, ...], bool]:
+        """This row as a primitive integer vector (coeffs..., constant) with
+        its denominators cleared; computed once per object, because face
+        splitting passes the same box and bisector rows to many systems."""
+        entries = (*self.coeffs, self.constant)
+        den = lcm(*(x.denominator for x in entries))
+        return _primitive([x.numerator * (den // x.denominator) for x in entries], self.strict)
 
     def negation(self) -> "LinearInequality":
         """The complementary halfspace: a.x <= b  <->  -a.x < -b."""
@@ -69,13 +80,6 @@ def _primitive(values: Sequence[int], strict: bool) -> tuple[tuple[int, ...], bo
     return (tuple(values), strict)
 
 
-def _integer_row(q: LinearInequality) -> tuple[tuple[int, ...], bool]:
-    """``q`` as a primitive integer vector (coeffs..., constant), denominators cleared."""
-    entries = (*q.coeffs, q.constant)
-    den = lcm(*(x.denominator for x in entries))
-    return _primitive([x.numerator * (den // x.denominator) for x in entries], q.strict)
-
-
 def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     """A rational witness satisfying every inequality, or None.
 
@@ -86,7 +90,7 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     rows = []
     for q in system.inequalities:
         if any(q.coeffs):
-            rows.append(_integer_row(q))
+            rows.append(q.integer_row)
         elif not _constant_ok(q.constant, q.strict):
             return None
     rows = list(dict.fromkeys(rows))

@@ -11,8 +11,11 @@ most one job at a time, with jobs occupying the half-open interval [s, s+p).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import InstanceTooLarge, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed
@@ -104,7 +107,14 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
     machine is free and jobs are available, either the available job with the
     earliest deadline starts now, or nothing starts at this time unit.  For
     equal-length jobs a standard exchange argument makes this complete.
-    Failed states are memoized.
+
+    Jobs are numbered in (deadline, arrival, id) order and the unstarted ones
+    are kept as an int bitmask, so its lowest set bit is the job with the
+    earliest latest start, and the lowest set bit of the jobs arrived by now
+    is the job EDF picks.  A search state is (time, sorted end times of the
+    running jobs, bitmask); failed states are memoized on it.  The search
+    runs on an explicit stack, one entry per state it branched from, so no
+    number of jobs meets Python's recursion limit.
     """
     jobs = instance.jobs
     for job in jobs:
@@ -116,48 +126,56 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
         return None
 
     t = instance.machines
-    latest = {i: job.deadline - p for i, job in enumerate(jobs)}
-    order_key = {i: (job.deadline, job.arrival, job.id) for i, job in enumerate(jobs)}
-    starts: dict[int, int] = {}
-    failed: set = set()
+    order = sorted(jobs, key=lambda job: (job.deadline, job.arrival, job.id))
+    latest = [job.deadline - p for job in order]
+    arrivals = sorted({job.arrival for job in jobs})
+    arriving = [0] * len(arrivals)
+    for bit, job in enumerate(order):
+        arriving[bisect_left(arrivals, job.arrival)] |= 1 << bit
+    arrived = list(accumulate(arriving, or_))  # jobs with arrival <= arrivals[i]
 
-    def dfs(time: int, busy: tuple[int, ...], remaining: frozenset) -> bool:
+    failed: set[tuple] = set()
+    stack: list[tuple] = []  # (state, job started from it or 0, state to try if that fails)
+    state = (arrivals[0], (), arrived[-1])
+    while True:
+        time, busy, remaining = state
         if not remaining:
-            return True
-        if min(latest[i] for i in remaining) < time:
-            return False
-        key = (time, busy, remaining)
-        if key in failed:
-            return False
-        available = [i for i in remaining if jobs[i].arrival <= time]
-        if available and len(busy) < t:
-            pick = min(available, key=order_key.__getitem__)
-            starts[pick] = time
-            if dfs(time, tuple(sorted(busy + (time + p,))), remaining - {pick}):
-                return True
-            del starts[pick]
-            nxt = time + 1
-            if dfs(nxt, tuple(b for b in busy if b > nxt), remaining):
-                return True
+            break
+        if latest[(remaining & -remaining).bit_length() - 1] >= time and state not in failed:
+            idx = bisect_right(arrivals, time)
+            ready = remaining & arrived[idx - 1]
+            if ready and len(busy) < t:
+                # Start the EDF pick now, else idle one unit.  Every running
+                # job started by now, so time + p is the latest end time.
+                pick = ready & -ready
+                nxt = time + 1
+                stack.append((state, pick, (nxt, busy[bisect_right(busy, nxt):], remaining)))
+                state = (time, busy + (time + p,), remaining ^ pick)
+                continue
+            # Nothing can start: jump to the next arrival or, with every
+            # machine busy, the next end time, whichever comes first.
+            pending = remaining ^ ready
+            if pending:
+                while not pending & arrived[idx]:
+                    idx += 1
+                nxt = arrivals[idx] if len(busy) < t else min(busy[0], arrivals[idx])
+            else:
+                nxt = busy[0]
+            stack.append((state, 0, None))
+            state = (nxt, busy[bisect_right(busy, nxt):], remaining)
+            continue
+        while stack:
+            parent, pick, alternative = stack.pop()
+            if alternative is not None:
+                stack.append((parent, 0, None))
+                state = alternative
+                break
+            failed.add(parent)
         else:
-            events = []
-            if busy and len(busy) >= t:
-                events.append(busy[0])
-            future = [jobs[i].arrival for i in remaining if jobs[i].arrival > time]
-            if future:
-                events.append(min(future))
-            if events:
-                nxt = min(events)
-                if dfs(nxt, tuple(b for b in busy if b > nxt), remaining):
-                    return True
-        failed.add(key)
-        return False
+            return None
 
-    first = min(job.arrival for job in jobs)
-    if not dfs(first, (), frozenset(range(len(jobs)))):
-        return None
-    by_id = {jobs[i].id: s for i, s in starts.items()}
-    schedule = Schedule(_assign_machines(jobs, by_id, t))
+    starts = {order[pick.bit_length() - 1].id: parent[0] for parent, pick, _ in stack if pick}
+    schedule = Schedule(_assign_machines(jobs, starts, t))
     check_schedule(instance, schedule)
     return schedule
 

@@ -1,0 +1,80 @@
+"""Reference equal-length scheduler on `frozenset` states, kept as a test oracle.
+
+This is the search `spatialvote.scheduling.feasible_equal_length` replaced:
+the same earliest-deadline-first backtracking, written as a recursive `dfs`
+whose memo is keyed on a `frozenset` of remaining job indices and whose
+every node scans the remaining jobs.  Tests require the package's schedules
+to equal its schedules; the package never imports it.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from spatialvote.errors import MixedProcessingTimes
+from spatialvote.scheduling import Schedule, SchedulingInstance, _assign_machines, check_schedule
+
+
+def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Schedule]:
+    """Feasibility for jobs that all share processing time p.
+
+    Earliest-deadline-first over integer time with backtracking: whenever a
+    machine is free and jobs are available, either the available job with the
+    earliest deadline starts now, or nothing starts at this time unit.  For
+    equal-length jobs a standard exchange argument makes this complete.
+    Failed states are memoized.
+    """
+    jobs = instance.jobs
+    for job in jobs:
+        if job.processing != p:
+            raise MixedProcessingTimes(f"job {job.id!r} has length {job.processing}, expected {p}")
+    if not jobs:
+        return Schedule({})
+    if any(job.arrival > job.deadline - p for job in jobs):
+        return None
+
+    t = instance.machines
+    latest = {i: job.deadline - p for i, job in enumerate(jobs)}
+    order_key = {i: (job.deadline, job.arrival, job.id) for i, job in enumerate(jobs)}
+    starts: dict[int, int] = {}
+    failed: set = set()
+
+    def dfs(time: int, busy: tuple[int, ...], remaining: frozenset) -> bool:
+        if not remaining:
+            return True
+        if min(latest[i] for i in remaining) < time:
+            return False
+        key = (time, busy, remaining)
+        if key in failed:
+            return False
+        available = [i for i in remaining if jobs[i].arrival <= time]
+        if available and len(busy) < t:
+            pick = min(available, key=order_key.__getitem__)
+            starts[pick] = time
+            if dfs(time, tuple(sorted(busy + (time + p,))), remaining - {pick}):
+                return True
+            del starts[pick]
+            nxt = time + 1
+            if dfs(nxt, tuple(b for b in busy if b > nxt), remaining):
+                return True
+        else:
+            events = []
+            if busy and len(busy) >= t:
+                events.append(busy[0])
+            future = [jobs[i].arrival for i in remaining if jobs[i].arrival > time]
+            if future:
+                events.append(min(future))
+            if events:
+                nxt = min(events)
+                if dfs(nxt, tuple(b for b in busy if b > nxt), remaining):
+                    return True
+        failed.add(key)
+        return False
+
+    first = min(job.arrival for job in jobs)
+    if not dfs(first, (), frozenset(range(len(jobs)))):
+        return None
+    by_id = {jobs[i].id: s for i, s in starts.items()}
+    schedule = Schedule(_assign_machines(jobs, by_id, t))
+    check_schedule(instance, schedule)
+    return schedule

@@ -179,11 +179,17 @@ class TestCommands:
         assert profile.dimension == 2
 
     @pytest.mark.parametrize(
-        "command",
-        [["oracle", "pw"], ["oracle", "nw"], ["pw", "--allow-exponential"]],
-        ids=" ".join,
+        "command, rule, expected",
+        [
+            pytest.param(["oracle", "pw"], "borda", ["c1"], id="oracle pw"),
+            pytest.param(["oracle", "nw"], "borda", ["c1"], id="oracle nw"),
+            pytest.param(["pw", "--allow-exponential"], "borda", ["c1"], id="pw --allow-exponential"),
+            # The scheduler starts one job per voter along its search path.
+            pytest.param(["pw"], "approval:2", ["c1", "c2"], id="pw approval:2"),
+            pytest.param(["pw"], "fkt:2:1", ["c1", "c2"], id="pw fkt:2:1"),
+        ],
     )
-    def test_oracle_scales_to_thousands_of_voters(self, capsys, tmp_path, command):
+    def test_oracle_scales_to_thousands_of_voters(self, capsys, tmp_path, command, rule, expected):
         doc = {
             "schema_version": 1,
             "kind": "election",
@@ -193,10 +199,10 @@ class TestCommands:
         }
         path = write_doc(tmp_path, doc)
         code, out, _ = run(
-            capsys, *command, "--instance", path, "--rule", "borda", "--format", "json"
+            capsys, *command, "--instance", path, "--rule", rule, "--format", "json"
         )
         assert code == 0
-        assert json.loads(out) == {"winners": ["c1"]}
+        assert json.loads(out) == {"winners": expected}
 
     def test_equal_boxes_share_the_cache(self, capsys, tmp_path):
         doc = load_document(ELECTION)

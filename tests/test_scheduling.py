@@ -7,15 +7,20 @@ import textwrap
 import pytest
 
 from gen_helpers import random_equal_length_instance, random_reduction_instance
+from scheduling_reference import reference_feasible_equal_length
 from spatialvote import (
     Job,
     MixedProcessingTimes,
     SchedulingInstance,
+    ScoringRule,
     brute_force_schedule,
     brute_pw,
     feasible_equal_length,
+    possible_winner,
     reduce_scheduling_to_pw,
+    winners,
 )
+from spatialvote.cli import generate_election
 from spatialvote.errors import InstanceTooLarge, PreconditionViolated
 from spatialvote.scheduling import check_schedule
 
@@ -70,6 +75,41 @@ class TestEqualLengthSolver:
             if fast is not None:
                 check_schedule(instance, fast)
                 check_schedule(instance, slow)
+
+
+def assert_same_as_reference(instance, p):
+    fast = feasible_equal_length(instance, p)
+    slow = reference_feasible_equal_length(instance, p)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert fast.assignments == slow.assignments
+
+
+class TestMatchesReference:
+    """The bitmask search walks the reference's search tree in the same
+    order, so it must find the very same schedules."""
+
+    def test_random_instances(self):
+        rng = random.Random(29)
+        for _ in range(3000):
+            instance, p = random_equal_length_instance(
+                rng, max_jobs=rng.randint(1, 14), horizon=rng.randint(4, 20)
+            )
+            assert_same_as_reference(instance, p)
+
+    def test_possible_winner_instances(self, monkeypatch):
+        built = []
+
+        def record(instance, p):
+            built.append((instance, p))
+            return feasible_equal_length(instance, p)
+
+        monkeypatch.setattr(winners, "feasible_equal_length", record)
+        profile = generate_election(6, 1, 8, 80, 8, 4)
+        possible_winner(profile, ScoringRule.k_approval(3), range(8))
+        assert len(built) == 8
+        for instance, p in built:
+            assert_same_as_reference(instance, p)
 
 
 class TestCheckSchedule:

@@ -15,6 +15,15 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 ELECTION = os.path.join(ROOT, "instances", "three_candidates_line.json")
+# Four candidates keep approval:2 two-valued (on three it is veto), so
+# `pw` reaches the equal-length scheduler.
+FOUR_ON_A_LINE = {
+    "schema_version": 1,
+    "kind": "election",
+    "dimension": 1,
+    "candidates": [{"id": f"c{j + 1}", "position": [str(j)]} for j in range(4)],
+    "voters": [{"id": "v1", "bounds": [["0", "3"]]}, {"id": "v2", "bounds": [["1", "1"]]}],
+}
 
 
 @pytest.mark.parametrize(
@@ -26,6 +35,7 @@ ELECTION = os.path.join(ROOT, "instances", "three_candidates_line.json")
         pytest.param(["oracle", "pw", "--rule", "borda"], id="oracle-pw"),
         pytest.param(["pw", "--rule", "borda", "--allow-exponential"], id="pw-allow-exponential"),
         pytest.param(["pw", "--rule", "plurality"], id="pw-plurality"),
+        pytest.param(["pw", "--rule", "approval:2"], id="pw-approval"),
     ],
     ids=lambda c: c[0],
 )
@@ -35,8 +45,12 @@ def test_tracer_runs_cli_commands(tmp_path, command):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
+    instance = ELECTION
+    if "approval:2" in command:
+        instance = tmp_path / "four.json"
+        instance.write_text(json.dumps(FOUR_ON_A_LINE))
     proc = subprocess.run(
-        [sys.executable, TRACER, str(spans_out), "--", *command, "--instance", ELECTION],
+        [sys.executable, TRACER, str(spans_out), "--", *command, "--instance", str(instance)],
         env=env,
         capture_output=True,
         text=True,
@@ -56,3 +70,6 @@ def test_tracer_runs_cli_commands(tmp_path, command):
     if "plurality" in command:
         # One flow call decides every candidate of the query.
         assert [span[0] for span in spans].count("winners.flow") == 1
+    if "approval:2" in command:
+        # approval-1d's scheduler counts are read through this span.
+        assert "scheduling.feasible_equal_length" in names
