@@ -7,9 +7,12 @@ completion: winners depend only on the candidates' score totals, so one
 iterative fold over the voters builds the set of totals that some completion
 reaches (per voter, every reached total plus every distinct score vector the
 voter can contribute), and the possible and necessary winners are the union
-and intersection of the winner sets of those totals.  The guard bounds the
-work the fold does: before each voter's step, the number of (total,
-contribution) pairs that step would combine.
+and intersection of the winner sets of those totals.  Each score vector is
+one packed `int` with a fixed-width bit field per candidate, wide enough
+that no field carries into the next, so a step adds plain integers; every
+reached total is unpacked once, after the fold.  The guard bounds the work
+the fold does: before each voter's step, the number of (total,
+contribution) pairs that step would combine, which packing leaves unchanged.
 """
 
 from __future__ import annotations
@@ -62,21 +65,25 @@ def enumerate_completions(
         idx[j] += 1
 
 
-def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> list[list[tuple[int, ...]]]:
-    """Per voter, the distinct per-candidate score contributions."""
+def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> tuple[list[set[int]], int]:
+    """Per voter, the distinct per-candidate score contributions, packed.
+
+    Returns the packed contributions and the field width w: candidate c's
+    score sits in bits [c*w, (c+1)*w) of one `int`.  With n voters no
+    candidate's total exceeds n * vec[0] < 2**w, and scores are naturals, so
+    adding packed values adds every field on its own and nothing carries
+    into the next.  Each distinct contribution is one distinct `int`, so the
+    fold's reached sets, and the guard's counts, are those of the per-
+    candidate tuples.
+    """
     lists = completion_lists(profile)
-    m = profile.num_candidates
-    vec = realize_score_vector(rule, m)
-    choices = []
-    for lst in lists:
-        seen = set()
-        for rw in lst:
-            contrib = [0] * m
-            for pos, cand in enumerate(rw.ranking):
-                contrib[cand] = vec[pos]
-            seen.add(tuple(contrib))
-        choices.append(sorted(seen))
-    return choices
+    vec = realize_score_vector(rule, profile.num_candidates)
+    width = max(1, (len(lists) * vec[0]).bit_length())
+    choices = [
+        {sum(vec[pos] << (cand * width) for pos, cand in enumerate(rw.ranking)) for rw in lst}
+        for lst in lists
+    ]
+    return choices, width
 
 
 def _winner_sets(
@@ -84,13 +91,16 @@ def _winner_sets(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(union, intersection) of the winner sets over every completion."""
     m = profile.num_candidates
-    reachable = {(0,) * m}
-    for contribs in _score_choices(profile, rule):
+    choices, width = _score_choices(profile, rule)
+    reachable = {0}
+    for contribs in choices:
         _check_guard(len(reachable) * len(contribs), guard, "score-total pairs in one voter step")
-        reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
+        reachable = {t + c for t in reachable for c in contribs}
+    mask = (1 << width) - 1
+    shifts = range(0, m * width, width)
     union, inter = frozenset(), frozenset(range(m))
-    for totals in reachable:
-        winners = winners_of_scores(totals)
+    for total in reachable:
+        winners = winners_of_scores([(total >> s) & mask for s in shifts])
         union |= winners
         inter &= winners
     return union, inter

@@ -15,12 +15,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 from operator import or_
 from typing import Optional, Sequence
 
 from .errors import InstanceTooLarge, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed
 from .geometry import ranking_completions
 from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox
+from .oracle import DEFAULT_GUARD, _check_guard
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,10 @@ def reduce_scheduling_to_pw(
     length-(k-1) job becomes such a voter at height 3*D (those voters always
     approve the target as well).  Filler voters with no uncertainty bring
     every line candidate up to the same baseline approval count.
+
+    Raises InstanceTooLarge when the check of the built election would split
+    more bisectors (job voters times candidate pairs) than the oracle's
+    default guard allows.
     """
     if instance.machines != 1:
         raise PreconditionViolated("the reduction needs exactly one machine")
@@ -263,6 +269,10 @@ def reduce_scheduling_to_pw(
             pad_id += "_"
         jobs.append(Job(pad_id, span + 1, span + k, k - 1))
         span += k
+
+    # before any candidate is built: `_validate_reduction` splits each job
+    # voter's box by the bisectors of all span + 1 candidates
+    _check_guard(len(jobs) * comb(span + 1, 2), DEFAULT_GUARD, "bisectors to split in the reduction")
 
     target = Candidate("cstar", (Fraction(0), Fraction(3 * span)))
     line = [

@@ -262,6 +262,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InstanceTooLarge"
 
+    @pytest.mark.parametrize("deadline", [10**7, 10**30], ids=["1e7", "1e30"])
+    def test_reduce_sched_far_deadline_exits_2(self, capsys, tmp_path, deadline):
+        # one line candidate per time slot: refused before any is built
+        with open(SCHEDULING) as fh:
+            doc = json.load(fh)
+        for job in doc["jobs"]:
+            job["deadline"] = deadline
+        code, _, err = run(capsys, "reduce-sched", "--instance", write_doc(tmp_path, doc), "--k", "3")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InstanceTooLarge"
+
     def test_env_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("SVK_GUARD", "1")
         code, _, _ = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")

@@ -5,10 +5,13 @@ from math import prod
 import pytest
 
 from gen_helpers import random_profile_1d, random_profile_2d
+from oracle_reference import _score_choices as reference_score_choices
+from oracle_reference import reference_winner_sets
 from spatialvote import (
     Candidate,
     InstanceTooLarge,
     PartialSpatialProfile,
+    RuleUndefinedAtM,
     ScoringRule,
     VoterBox,
     brute_nw,
@@ -16,7 +19,9 @@ from spatialvote import (
     enumerate_completions,
     is_necessary_winner,
     is_possible_winner,
+    oracle,
     ranking_completions,
+    realize_score_vector,
     winners_of_rankings,
 )
 
@@ -134,3 +139,61 @@ class TestMembershipQueries:
                 for c in range(profile.num_candidates):
                     assert is_possible_winner(profile, rule, c) == (c in pw)
                     assert is_necessary_winner(profile, rule, c) == (c in nw)
+
+
+def random_rule(rng: random.Random, m: int) -> ScoringRule:
+    """A rule of a random family; some are undefined at m, which both folds must report."""
+    top = sorted((rng.randint(0, 9) for _ in range(m - 2)), reverse=True)
+    return rng.choice(
+        [
+            ScoringRule.plurality(),
+            ScoringRule.veto(),
+            ScoringRule.borda(),
+            ScoringRule.k_approval(rng.randint(1, m - 1)),
+            ScoringRule.k_veto(rng.randint(1, m - 1)),
+            ScoringRule.weighted_veto(5, [3, 1][: rng.randint(1, 2)]),
+            ScoringRule.fkt(rng.randint(1, 2), rng.randint(1, 2)),
+            # scores above 2**64: the packed fields are wider than a machine word
+            ScoringRule.explicit([2**70 + rng.randint(0, 9), *top, 0]),
+        ]
+    )
+
+
+def reference_step_works(profile, rule) -> list[int]:
+    """The (total, contribution) pairs each voter step of the reference fold combines."""
+    reachable = {(0,) * profile.num_candidates}
+    works = []
+    for contribs in reference_score_choices(profile, rule):
+        works.append(len(reachable) * len(contribs))
+        reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
+    return works
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is the outcome being compared
+        return type(exc)
+
+
+class TestMatchesReference:
+    """The packed-integer fold reaches the same totals as the tuple fold, so
+    it gives the same winner sets and its guard raises at the same values."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_random_profiles(self, dimension):
+        rng = random.Random(83 + dimension)
+        for _ in range(80):
+            m = rng.randint(2, 6 if dimension == 1 else 4)
+            n = rng.randint(0, 4 if dimension == 1 else 3)
+            if dimension == 1:
+                profile = random_profile_1d(rng, m, n)
+            else:
+                profile = random_profile_2d(rng, m, n, max_side=1)
+            rule = random_rule(rng, m)
+            guards = [oracle.DEFAULT_GUARD]
+            if outcome(realize_score_vector, rule, m) is not RuleUndefinedAtM:
+                guards += [g for w in reference_step_works(profile, rule) for g in (w, w - 1)]
+            for guard in guards:
+                expected = outcome(reference_winner_sets, profile, rule, guard)
+                assert outcome(oracle._winner_sets, profile, rule, guard) == expected

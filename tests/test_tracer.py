@@ -15,8 +15,9 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 ELECTION = os.path.join(ROOT, "instances", "three_candidates_line.json")
-# Four candidates keep approval:2 two-valued (on three it is veto), so
-# `pw` reaches the equal-length scheduler.
+# Four candidates keep approval:2 two-valued and fkt:2:1 at (2, 2, 1, 0) (on
+# three they are veto), so `pw` reaches the two-valued route and the
+# equal-length scheduler.
 FOUR_ON_A_LINE = {
     "schema_version": 1,
     "kind": "election",
@@ -46,7 +47,7 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     instance = ELECTION
-    if "approval:2" in command:
+    if "approval:2" in command or "fkt:2:1" in command:
         instance = tmp_path / "four.json"
         instance.write_text(json.dumps(FOUR_ON_A_LINE))
     proc = subprocess.run(
@@ -73,3 +74,5 @@ def test_tracer_runs_cli_commands(tmp_path, command):
     if "approval:2" in command:
         # approval-1d's scheduler counts are read through this span.
         assert "scheduling.feasible_equal_length" in names
+    if "fkt:2:1" in command:
+        assert "winners.two_valued" in names
