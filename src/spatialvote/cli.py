@@ -202,6 +202,10 @@ def generate_election(
     grid of the given denominator; d=1 candidate positions are distinct."""
     if dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {dimension}")
+    if num_voters < 0:
+        raise ValueError(f"num_voters must be at least 0, got {num_voters}")
+    if coord_range < 0:
+        raise ValueError(f"coord_range must be at least 0, got {coord_range}")
     grid_points = 2 * coord_range * denominator + 1
     if dimension == 1 and num_candidates > grid_points:
         raise ValueError(
@@ -235,6 +239,10 @@ def generate_scheduling(
     seed: int, num_jobs: int, machines: int = 1, horizon: int = 10, max_processing: int = 4
 ) -> SchedulingInstance:
     """Random instance in which every job fits between arrival and deadline."""
+    if num_jobs < 0:
+        raise ValueError(f"num_jobs must be at least 0, got {num_jobs}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = random.Random(seed)
     jobs = []
     for i in range(num_jobs):
@@ -346,15 +354,18 @@ def cmd_faces(args) -> int:
 
 
 def _guard_value(args) -> int:
-    if args.guard is not None:
-        return args.guard
-    env = os.environ.get("SVK_GUARD")
-    if env is not None:
+    source, guard = "--guard", args.guard
+    if guard is None:
+        source, env = "SVK_GUARD", os.environ.get("SVK_GUARD")
+        if env is None:
+            return oracle.DEFAULT_GUARD
         try:
-            return int(env)
+            guard = int(env)
         except ValueError as exc:
             raise InvalidInstance(f"SVK_GUARD: {exc}") from exc
-    return oracle.DEFAULT_GUARD
+    if guard < 0:
+        raise InvalidInstance(f"{source}: the guard must be at least 0, got {guard}")
+    return guard
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -39,8 +39,7 @@ from .lfp import InequalitySystem, LinearInequality, feasible
 from .model import Candidate, Ranking, SpatialPoint, VoterBox, rank_from_point
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", "coeffs constant pair")):
     """The bisector of a candidate pair: points equidistant from both.
 
     ``coeffs . x = constant`` with coeffs = 2(x_c' - x_c) and constant
@@ -48,28 +47,22 @@ class Hyperplane:
     Points with ``coeffs . x < constant`` are strictly closer to c.
     """
 
-    coeffs: tuple[Fraction, ...]
-    constant: Fraction
-    pair: tuple[int, int]
+    __slots__ = ()
 
     def closed_side(self) -> LinearInequality:
         """The nonstrict side containing (and tying toward) the lower-indexed candidate."""
         return LinearInequality(self.coeffs, self.constant, strict=False)
 
 
-@dataclass(frozen=True)
-class Face:
-    """A region of R^d given by linear inequalities, possibly over-specified,
-    with a point that lies in it."""
+class Face(namedtuple("Face", "inequalities witness")):
+    """A region of R^d given by `inequalities`, a tuple of `LinearInequality`
+    that may be over-specified, with a point `witness` that lies in it."""
 
-    inequalities: tuple[LinearInequality, ...]
-    witness: SpatialPoint
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RankingWithWitness:
-    ranking: Ranking
-    witness: SpatialPoint
+#: A `ranking` with a `witness` point that induces it.
+RankingWithWitness = namedtuple("RankingWithWitness", "ranking witness")
 
 
 @lru_cache(maxsize=1024)

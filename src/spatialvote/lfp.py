@@ -22,7 +22,7 @@ tiny and fixed, so the elimination blowup is bounded in practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -33,13 +33,11 @@ from .errors import SelfCheckFailed
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LinearInequality:
-    """``coeffs . x < constant`` (strict) or ``coeffs . x <= constant``."""
+class LinearInequality(namedtuple("LinearInequality", "coeffs constant strict", defaults=(False,))):
+    """``coeffs . x < constant`` (`strict`) or ``coeffs . x <= constant``, with
+    `coeffs` a tuple of Fractions and `constant` a Fraction."""
 
-    coeffs: tuple[Fraction, ...]
-    constant: Fraction
-    strict: bool = False
+    # no __slots__: `integer_row` caches its value in the instance __dict__
 
     def holds(self, point: Sequence[Fraction]) -> bool:
         lhs = sum(a * x for a, x in zip(self.coeffs, point))
@@ -61,15 +59,17 @@ class LinearInequality:
         )
 
 
-@dataclass(frozen=True)
-class InequalitySystem:
-    dimension: int
-    inequalities: tuple[LinearInequality, ...]
+class InequalitySystem(namedtuple("InequalitySystem", "dimension inequalities")):
+    """The conjunction of `inequalities`, a tuple of `LinearInequality`, in
+    `dimension` variables."""
 
-    def __post_init__(self) -> None:
-        for q in self.inequalities:
-            if len(q.coeffs) != self.dimension:
-                raise ValueError(f"inequality has {len(q.coeffs)} coefficients, expected {self.dimension}")
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, inequalities: Sequence[LinearInequality]) -> "InequalitySystem":
+        for q in inequalities:
+            if len(q.coeffs) != dimension:
+                raise ValueError(f"inequality has {len(q.coeffs)} coefficients, expected {dimension}")
+        return super().__new__(cls, dimension, inequalities)
 
 
 def _primitive(values: Sequence[int], strict: bool) -> tuple[tuple[int, ...], bool]:

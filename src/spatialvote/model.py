@@ -7,12 +7,13 @@ exact: coordinates are `fractions.Fraction` and distances are compared via
 squared distances, so no square roots are ever taken.
 
 Ties in distance are broken by ascending candidate index, uniformly across
-the whole package.
+the whole package.  The records are immutable named tuples that validate
+their fields when built; each docstring names the fields in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
@@ -36,32 +37,28 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A candidate with a string id and an exact position in R^d."""
+class Candidate(namedtuple("Candidate", "id position")):
+    """A candidate: a string `id` and its exact `position` in R^d (Fractions)."""
 
-    id: str
-    position: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", tuple(as_rational(x) for x in self.position))
+    def __new__(cls, id: str, position: Sequence[RationalLike]) -> "Candidate":
+        return super().__new__(cls, id, tuple(as_rational(x) for x in position))
 
 
-@dataclass(frozen=True)
-class VoterBox:
-    """Per-dimension closed interval bounds on one voter's ideal point."""
+class VoterBox(namedtuple("VoterBox", "id bounds")):
+    """A voter's string `id` and `bounds`, one closed interval (lo, hi) per dimension."""
 
-    id: str
-    bounds: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, id: str, bounds: Sequence[tuple[RationalLike, RationalLike]]) -> "VoterBox":
         norm = []
-        for i, (lo, hi) in enumerate(self.bounds):
+        for i, (lo, hi) in enumerate(bounds):
             lo, hi = as_rational(lo), as_rational(hi)
             if lo > hi:
-                raise ValueError(f"voter {self.id!r}: lower > upper in dimension {i}")
+                raise ValueError(f"voter {id!r}: lower > upper in dimension {i}")
             norm.append((lo, hi))
-        object.__setattr__(self, "bounds", tuple(norm))
+        return super().__new__(cls, id, tuple(norm))
 
     @property
     def dimension(self) -> int:
@@ -79,9 +76,9 @@ Ranking = tuple[int, ...]
 SpatialPoint = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class PartialSpatialProfile:
-    """A spatial election instance: candidates plus per-voter boxes.
+class PartialSpatialProfile(namedtuple("PartialSpatialProfile", "dimension candidates voters")):
+    """A spatial election instance: a positive `dimension` d, a tuple of
+    `candidates` and a tuple of `voters` (boxes), all d-dimensional.
 
     In one dimension the candidates are stored sorted by strictly increasing
     position (duplicate positions are rejected); rankings and windows always
@@ -89,16 +86,15 @@ class PartialSpatialProfile:
     and duplicate positions are permitted.
     """
 
-    dimension: int
-    candidates: tuple[Candidate, ...]
-    voters: tuple[VoterBox, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = self.dimension
-        if d < 1:
+    def __new__(
+        cls, dimension: int, candidates: Sequence[Candidate], voters: Sequence[VoterBox]
+    ) -> "PartialSpatialProfile":
+        if dimension < 1:
             raise ValueError("dimension must be positive")
-        candidates = tuple(self.candidates)
-        voters = tuple(self.voters)
+        candidates = tuple(candidates)
+        voters = tuple(voters)
         if len(candidates) < 2:
             raise ValueError("an instance needs at least two candidates")
         if len({c.id for c in candidates}) != len(candidates):
@@ -106,18 +102,17 @@ class PartialSpatialProfile:
         if len({v.id for v in voters}) != len(voters):
             raise ValueError("voter ids must be unique")
         for c in candidates:
-            if len(c.position) != d:
-                raise DimensionMismatch(f"candidate {c.id!r} has {len(c.position)} coordinates, expected {d}")
+            if len(c.position) != dimension:
+                raise DimensionMismatch(f"candidate {c.id!r} has {len(c.position)} coordinates, expected {dimension}")
         for v in voters:
-            if v.dimension != d:
-                raise DimensionMismatch(f"voter {v.id!r} has {v.dimension} bounds, expected {d}")
-        if d == 1:
+            if v.dimension != dimension:
+                raise DimensionMismatch(f"voter {v.id!r} has {v.dimension} bounds, expected {dimension}")
+        if dimension == 1:
             candidates = tuple(sorted(candidates, key=lambda c: c.position[0]))
             for a, b in zip(candidates, candidates[1:]):
                 if a.position[0] == b.position[0]:
                     raise ValueError(f"duplicate candidate position in d=1: {a.id!r} and {b.id!r}")
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "voters", voters)
+        return super().__new__(cls, dimension, candidates, voters)
 
     @property
     def num_candidates(self) -> int:
@@ -130,22 +125,21 @@ class PartialSpatialProfile:
         raise UnknownCandidate(f"no candidate with id {candidate_id!r}")
 
 
-@dataclass(frozen=True)
-class ScoringRule:
+class ScoringRule(
+    namedtuple("ScoringRule", "kind k t alpha betas vector", defaults=(None, None, None, (), ()))
+):
     """A positional scoring rule: a family of nonincreasing score vectors.
 
     Use the classmethod constructors; ``realize_score_vector`` produces the
     concrete vector for a given number of candidates m.  Two-valued rules
     approve a constant k (k-approval) or m-k (k-veto) candidates; either is
     rejected at m if the count leaves [1, m-1].
+
+    Fields: `kind` (the family's name), then its parameters `k`, `t`,
+    `alpha` (None when unused), `betas` and `vector` (() when unused).
     """
 
-    kind: str
-    k: int | None = None
-    t: int | None = None
-    alpha: int | None = None
-    betas: tuple[int, ...] = ()
-    vector: tuple[int, ...] = ()
+    __slots__ = ()
 
     @classmethod
     def plurality(cls) -> "ScoringRule":

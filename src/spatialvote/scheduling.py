@@ -12,7 +12,7 @@ most one job at a time, with jobs occupying the half-open interval [s, s+p).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -25,42 +25,41 @@ from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox
 from .oracle import DEFAULT_GUARD, _check_guard
 
 
-@dataclass(frozen=True)
-class Job:
-    id: str
-    arrival: int
-    deadline: int
-    processing: int
+class Job(namedtuple("Job", "id arrival deadline processing")):
+    """A job with a string `id` and positive integer `arrival`, `deadline`
+    and `processing` time."""
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.arrival, int) and isinstance(self.deadline, int) and isinstance(self.processing, int)):
-            raise ValueError(f"job {self.id!r}: times must be integers")
-        if self.arrival < 1:
-            raise ValueError(f"job {self.id!r}: arrival must be >= 1")
-        if self.processing < 1:
-            raise ValueError(f"job {self.id!r}: processing time must be >= 1")
-        if self.deadline < 1:
-            raise ValueError(f"job {self.id!r}: deadline must be >= 1")
+    __slots__ = ()
+
+    def __new__(cls, id: str, arrival: int, deadline: int, processing: int) -> "Job":
+        if not (isinstance(arrival, int) and isinstance(deadline, int) and isinstance(processing, int)):
+            raise ValueError(f"job {id!r}: times must be integers")
+        if arrival < 1:
+            raise ValueError(f"job {id!r}: arrival must be >= 1")
+        if processing < 1:
+            raise ValueError(f"job {id!r}: processing time must be >= 1")
+        if deadline < 1:
+            raise ValueError(f"job {id!r}: deadline must be >= 1")
+        return super().__new__(cls, id, arrival, deadline, processing)
 
 
-@dataclass(frozen=True)
-class SchedulingInstance:
-    jobs: tuple[Job, ...]
-    machines: int
+class SchedulingInstance(namedtuple("SchedulingInstance", "jobs machines")):
+    """A tuple of `jobs` with distinct ids and the number of `machines`."""
 
-    def __post_init__(self) -> None:
-        if self.machines < 1:
+    __slots__ = ()
+
+    def __new__(cls, jobs: Sequence[Job], machines: int) -> "SchedulingInstance":
+        if machines < 1:
             raise ValueError("need at least one machine")
-        if len({j.id for j in self.jobs}) != len(self.jobs):
+        if len({j.id for j in jobs}) != len(jobs):
             raise ValueError("job ids must be unique")
-        object.__setattr__(self, "jobs", tuple(self.jobs))
+        return super().__new__(cls, tuple(jobs), machines)
 
 
-@dataclass
-class Schedule:
-    """Per-job (start, machine) assignment."""
+class Schedule(namedtuple("Schedule", "assignments")):
+    """`assignments` maps each job id to its (start, machine)."""
 
-    assignments: dict[str, tuple[int, int]]
+    __slots__ = ()
 
 
 def check_schedule(instance: SchedulingInstance, schedule: Schedule) -> None:

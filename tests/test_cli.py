@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -280,6 +282,28 @@ class TestExitCodes:
         monkeypatch.setenv("SVK_GUARD", "1000")
         code, _, _ = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
         assert code == 0
+        monkeypatch.setenv("SVK_GUARD", "0")  # valid: it allows no work
+        code, _, err = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
+        assert code == 2 and json.loads(err)["error"]["type"] == "InstanceTooLarge"
+        monkeypatch.setenv("SVK_GUARD", "-3")
+        code, out, err = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInstance" and error["message"].startswith("SVK_GUARD: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pw", "--rule", "borda", "--allow-exponential", "--guard", "-5"],
+            ["oracle", "pw", "--rule", "plurality", "--guard", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_guard_is_rejected(self, capsys, command):
+        code, out, err = run(capsys, *command, "--instance", ELECTION)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInstance" and error["message"].startswith("--guard: ")
 
     @pytest.mark.parametrize(
         "field, value, where",
@@ -322,13 +346,21 @@ class TestExitCodes:
             ["--coord-range", "0", "--num-candidates", "2"],
             ["--coord-range", "1", "--num-candidates", "10"],
             ["--dimension", "0"],
+            ["--num-voters", "-2"],
+            ["--coord-range", "-1"],
+            ["--dimension", "2", "--coord-range", "-1"],
+            ["--kind", "scheduling", "--num-jobs", "-3"],
+            ["--kind", "scheduling", "--horizon", "0"],
+            ["--kind", "scheduling", "--horizon", "-4"],
         ],
         ids=" ".join,
     )
     def test_gen_rejects_impossible_requests(self, capsys, extra):
         code, out, err = run(capsys, "gen", "--seed", "1", *extra)
         assert code == 1 and out == ""
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "randrange" not in error["message"]
 
     @pytest.mark.parametrize("command", ["pw", "nw"])
     def test_unknown_candidate(self, capsys, command):
@@ -424,3 +456,16 @@ def test_mutated_documents_never_raise(capsys, tmp_path):
                 assert set(error) == {"type", "message"}, context
             else:
                 assert err == "", context
+
+
+def test_cli_start_up_avoids_heavy_imports():
+    # Each query is a fresh process, so every module the CLI imports is paid
+    # for on every query; these come with `dataclasses` and cost ~10 ms.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    script = f"import spatialvote.cli, sys; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

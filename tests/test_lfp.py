@@ -50,7 +50,7 @@ class TestBasics:
         assert feasible(system) is None
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^inequality has 1 coefficients, expected 2$"):
             InequalitySystem(2, (ineq((1,), 0),))
 
     def test_negation_flips_the_halfspace(self):

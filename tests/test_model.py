@@ -19,7 +19,11 @@ from spatialvote import (
     score_profile,
     winners_of_rankings,
 )
+from spatialvote import lfp
+from spatialvote.geometry import Face, Hyperplane, RankingWithWitness
+from spatialvote.lfp import InequalitySystem, LinearInequality
 from spatialvote.model import canonical_vector, winners_of_scores
+from spatialvote.scheduling import Job, Schedule, SchedulingInstance
 
 
 class TestRationals:
@@ -37,8 +41,12 @@ class TestRationals:
 
 class TestDomainTypes:
     def test_voter_box_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            VoterBox("v", ((Fraction(2), Fraction(1)),))
+        with pytest.raises(ValueError, match=r"^voter 'v': lower > upper in dimension 1$"):
+            VoterBox("v", ((0, 0), (Fraction(2), Fraction(1))))
+
+    def test_candidate_rejects_floats(self):
+        with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as a rational$"):
+            Candidate("a", (1, 0.5))
 
     def test_degenerate_box(self):
         assert VoterBox("v", ((1, 1), (2, 2))).is_degenerate()
@@ -54,7 +62,7 @@ class TestDomainTypes:
         assert profile.candidate_index("b") == 1
 
     def test_profile_rejects_duplicate_1d_positions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate candidate position in d=1: 'a' and 'b'$"):
             PartialSpatialProfile(1, (Candidate("a", (1,)), Candidate("b", (1,))), ())
 
     def test_profile_allows_duplicate_positions_in_2d(self):
@@ -64,9 +72,9 @@ class TestDomainTypes:
         assert profile.num_candidates == 2
 
     def test_profile_rejects_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^candidate 'a' has 1 coordinates, expected 2$"):
             PartialSpatialProfile(2, (Candidate("a", (1,)), Candidate("b", (2, 2))), ())
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^voter 'v' has 2 bounds, expected 1$"):
             PartialSpatialProfile(
                 1,
                 (Candidate("a", (1,)), Candidate("b", (2,))),
@@ -74,8 +82,121 @@ class TestDomainTypes:
             )
 
     def test_profile_needs_two_candidates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^an instance needs at least two candidates$"):
             PartialSpatialProfile(1, (Candidate("a", (1,)),), ())
+
+    @pytest.mark.parametrize(
+        "dimension, candidates, voters, message",
+        [
+            # the first failing check reports, in the order the checks run
+            (0, ("a",), ("v", "v"), "dimension must be positive"),
+            (1, ("a", "a"), ("v", "v"), "candidate ids must be unique"),
+            (1, ("a", "b"), ("v", "v"), "voter ids must be unique"),
+        ],
+    )
+    def test_profile_check_order(self, dimension, candidates, voters, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PartialSpatialProfile(
+                dimension,
+                [Candidate(c, (i,)) for i, c in enumerate(candidates)],
+                [VoterBox(v, ((0, 1),)) for v in voters],
+            )
+
+
+def _row():
+    return LinearInequality((Fraction(1), Fraction(-1, 2)), Fraction(3), True)
+
+
+#: Each record's fields in order, and a builder; each call builds a new, equal value.
+RECORDS = {
+    "Candidate": ("id position", lambda: Candidate("a", (1, "3/2"))),
+    "VoterBox": ("id bounds", lambda: VoterBox("v", ((0, 1), ("1/2", "1/2")))),
+    "PartialSpatialProfile": (
+        "dimension candidates voters",
+        lambda: PartialSpatialProfile(
+            1, (Candidate("b", (2,)), Candidate("a", (1,))), (VoterBox("v", ((0, 3),)),)
+        ),
+    ),
+    "ScoringRule": ("kind k t alpha betas vector", lambda: ScoringRule.weighted_veto(3, (2, 1))),
+    "LinearInequality": ("coeffs constant strict", _row),
+    "InequalitySystem": ("dimension inequalities", lambda: InequalitySystem(2, (_row(), _row().negation()))),
+    "Hyperplane": (
+        "coeffs constant pair",
+        lambda: Hyperplane((Fraction(2), Fraction(0)), Fraction(3), (0, 1)),
+    ),
+    "Face": ("inequalities witness", lambda: Face((_row(),), (Fraction(0), Fraction(0)))),
+    "RankingWithWitness": ("ranking witness", lambda: RankingWithWitness((1, 0), (Fraction(1, 2),))),
+    "Job": ("id arrival deadline processing", lambda: Job("j", 1, 5, 2)),
+    "SchedulingInstance": (
+        "jobs machines",
+        lambda: SchedulingInstance([Job("j", 1, 5, 2), Job("k", 2, 6, 2)], 1),
+    ),
+    "Schedule": ("assignments", lambda: Schedule({"j": (1, 0)})),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    """What every public record keeps: its fields in order, read-only, the
+    keyword ``Name(field=value, ...)`` repr, value equality and a hash over
+    the field values."""
+
+    def test_fields_are_read_only(self, name):
+        fields, build = RECORDS[name]
+        record = build()
+        assert type(record).__name__ == name
+        assert type(record)(*(getattr(record, f) for f in fields.split())) == record
+        for field in fields.split():
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        assert record == build()
+
+    def test_repr_names_every_field(self, name):
+        fields, build = RECORDS[name]
+        record = build()
+        shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields.split())
+        assert repr(record) == f"{name}({shown})"
+
+    def test_equal_values_hash_equal(self, name):
+        fields, build = RECORDS[name]
+        a, b = build(), build()
+        assert a == b and a is not b
+        if name == "Schedule":  # it holds a dict
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields.split()))
+
+
+class TestRecordConstruction:
+    def test_repr(self):
+        assert repr(Candidate("a", (1,))) == "Candidate(id='a', position=(Fraction(1, 1),))"
+
+    def test_keyword_construction(self):
+        doc = {"id": "j", "arrival": 1, "deadline": 4, "processing": 2}
+        assert Job(**doc) == Job("j", 1, 4, 2)
+        assert Candidate(position=("1/2",), id="a").position == (Fraction(1, 2),)
+
+    def test_scoring_rule_defaults(self):
+        rule = ScoringRule("fkt", k=2, t=1)
+        assert (rule.alpha, rule.betas, rule.vector) == (None, (), ())
+        assert ScoringRule("plurality") == ScoringRule.plurality()
+        assert ScoringRule.plurality() == ScoringRule("plurality", None, None, None, (), ())
+        assert ScoringRule.k_approval(2) == ScoringRule(kind="k-approval", k=2)
+
+    def test_linear_inequality_defaults_to_nonstrict(self):
+        q = LinearInequality((Fraction(1),), Fraction(2))
+        assert q.strict is False and q == LinearInequality((Fraction(1),), Fraction(2), False)
+
+    def test_integer_row_is_computed_once_per_object(self, monkeypatch):
+        calls = []
+        primitive = lfp._primitive
+        monkeypatch.setattr(lfp, "_primitive", lambda *a: calls.append(a) or primitive(*a))
+        q = _row()
+        first = q.integer_row
+        assert q.integer_row is first and first == ((2, -1, 6), True)
+        assert len(calls) == 1
+        assert _row().integer_row == first and len(calls) == 2
 
 
 class TestScoreVectors:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -27,16 +28,24 @@ from spatialvote.scheduling import check_schedule
 
 class TestJobs:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Job("j", 0, 4, 1)
-        with pytest.raises(ValueError):
-            Job("j", 1, 4, 0)
+        # the first failing check reports, in the order the checks run
+        for times, message in [
+            ((1, 3, Fraction(1)), "times must be integers"),
+            ((0, 0, 0), "arrival must be >= 1"),
+            ((1, 0, 0), "processing time must be >= 1"),
+            ((1, 0, 1), "deadline must be >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^job 'j': {message}$"):
+                Job("j", *times)
         with pytest.raises(TypeError):
             Job("j", 1, 4)
 
     def test_unique_ids(self):
-        with pytest.raises(ValueError):
-            SchedulingInstance((Job("j", 1, 3, 1), Job("j", 1, 3, 1)), 1)
+        twins = (Job("j", 1, 3, 1), Job("j", 1, 3, 1))
+        with pytest.raises(ValueError, match="^need at least one machine$"):
+            SchedulingInstance(twins, 0)
+        with pytest.raises(ValueError, match="^job ids must be unique$"):
+            SchedulingInstance(twins, 1)
 
 
 class TestEqualLengthSolver:
