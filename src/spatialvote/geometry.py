@@ -9,7 +9,9 @@ bisection instead of sorting distances.  In higher dimensions the
 candidate-pair bisector hyperplanes partition space into faces on which the
 distance ranking is constant; the faces are built incrementally by splitting
 every face a new hyperplane crosses, with feasibility (and witnesses) decided
-by the exact rational LFP solver.
+by the exact rational LFP solver.  `place_sets` answers the narrower
+question of which candidates a box can rank first or last from the Voronoi
+cells alone, without building the arrangement.
 
 Boundary convention: every hyperplane's nonstrict side is the one containing
 the lower-indexed candidate of its pair, so points on the hyperplane fall in
@@ -259,6 +261,55 @@ def _lift(
     for i, v in fixed.items():
         coords[i] = v
     return tuple(coords)
+
+
+@lru_cache(maxsize=1024)
+def _precedence_rows(candidates: tuple[Candidate, ...]) -> tuple[tuple[LinearInequality, ...], ...]:
+    """rows[a][b] holds exactly where candidate a is ranked before candidate b:
+    2(b - a).x <= |b|^2 - |a|^2, strict when b < a (index tie-breaking).
+
+    Built once per candidate tuple, so every box shares the rows and each
+    row's `integer_row`.
+    """
+    rows = []
+    for a, pa in enumerate(c.position for c in candidates):
+        row = []
+        for b, pb in enumerate(c.position for c in candidates):
+            coeffs = tuple(2 * (y - x) for x, y in zip(pa, pb))
+            constant = sum(y * y for y in pb) - sum(x * x for x in pa)
+            row.append(LinearInequality(coeffs, constant, strict=b < a))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=65536)
+def place_sets(
+    candidates: tuple[Candidate, ...], bounds: tuple[tuple[Fraction, Fraction], ...], last: bool
+) -> frozenset[int]:
+    """The candidates some point of the box ranks first (`last` false) or last.
+
+    These are the candidates whose nearest-point (farthest-point) Voronoi
+    cell meets the box (Aurenhammer, ACM Comput. Surv. 23(3), 1991), with
+    ties broken by index: c is first at x iff, for every rival r,
+    2(r - c).x < |r|^2 - |c|^2 when r < c and <= when r > c; c is last iff
+    2(c - r).x <= |c|^2 - |r|^2 when r < c and < when r > c.  So each set
+    costs m LFP calls on the 2d box rows plus m - 1 rival rows, whatever the
+    size of the box's bisector arrangement.  A coincident rival's row is
+    constant, strict or not, and `feasible` settles it.  Cached on the box's
+    bounds like `ranking_completions`.
+    """
+    d = len(bounds)
+    if any(len(c.position) != d for c in candidates):
+        raise DimensionMismatch("candidates and box disagree on dimension")
+    before = _precedence_rows(candidates)
+    box = tuple(box_inequalities(VoterBox("", bounds)))
+    m = len(candidates)
+    out = set()
+    for c in range(m):
+        rivals = tuple(before[r][c] if last else before[c][r] for r in range(m) if r != c)
+        if feasible(InequalitySystem(d, box + rivals)) is not None:
+            out.add(c)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=65536)

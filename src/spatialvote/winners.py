@@ -8,10 +8,13 @@ polynomial time: plurality and veto in any dimension (bipartite flows over the
 first/last-place-capable candidate sets, one node per voter type); in one
 dimension, all two-valued rules (reduction to equal-length scheduling),
 weighted veto rules, and the three-valued rules F(k, t) with k > t.  Each of
-these routes takes the candidate set too: it summarizes every voter's
-completions once per call and decides every candidate from that summary.
-Everything else falls back, behind an explicit opt-in flag, to one exhaustive
-oracle pass for all the candidates.
+these routes takes the candidate set too: it summarizes every voter once per
+call and decides every candidate from that summary.  The 1D routes summarize
+a voter's completions, read off the shared line arrangement; in d >= 2 the
+flows never enumerate completions and read each box's first/last-place set
+off the Voronoi cells instead (`geometry.place_sets`, m LFP calls per
+distinct box).  Everything else falls back, behind an explicit opt-in flag,
+to one exhaustive oracle pass for all the candidates.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     SelfCheckFailed,
     UnknownCandidate,
 )
-from .geometry import RankingWithWitness, ranking_completions
+from .geometry import RankingWithWitness, place_sets, ranking_completions
 from .model import (
     PartialSpatialProfile,
     ScoringRule,
@@ -220,6 +223,16 @@ def pw_fkt_1d(
 # ---------------------------------------------------------------------------
 # Plurality and veto in any dimension (bipartite flows)
 # ---------------------------------------------------------------------------
+#
+# A flow needs only each voter's first-place (plurality) or last-place (veto)
+# set.  In d >= 2 that is the set of candidates whose nearest- (farthest-)
+# point Voronoi cell meets the box: c is first somewhere in the box iff the
+# box rows plus, for every rival r, 2(r - c).x < |r|^2 - |c|^2 (r < c) or
+# <= (r > c) are feasible, and last iff 2(c - r).x <= |c|^2 - |r|^2 (r < c)
+# or < (r > c) are; strict rows are where index tie-breaking goes against c.
+# That is m LFP calls per distinct box, however many faces the box's
+# bisector arrangement has.  In d = 1 the sets come from the completions,
+# which the shared line arrangement yields without any LFP call.
 
 
 class _FlowNetwork:
@@ -260,17 +273,25 @@ class _FlowNetwork:
 
 
 def first_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
-    """Per voter, the candidates rankable first in some completion."""
-    return [
-        frozenset(rw.ranking[0] for rw in ranking_completions(profile.candidates, v.bounds))
-        for v in profile.voters
-    ]
+    """Per voter, the candidates rankable first in some completion: those
+    whose nearest-point Voronoi cell meets its box in d >= 2 (`place_sets`),
+    the first places of its completions in d = 1."""
+    return _place_sets(profile, last=False)
 
 
 def last_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
-    """Per voter, the candidates rankable last in some completion."""
+    """Per voter, the candidates rankable last in some completion: those
+    whose farthest-point Voronoi cell meets its box in d >= 2 (`place_sets`),
+    the last places of its completions in d = 1."""
+    return _place_sets(profile, last=True)
+
+
+def _place_sets(profile: PartialSpatialProfile, last: bool) -> list[frozenset[int]]:
+    if profile.dimension > 1:
+        return [place_sets(profile.candidates, v.bounds, last) for v in profile.voters]
+    pos = -1 if last else 0
     return [
-        frozenset(rw.ranking[-1] for rw in ranking_completions(profile.candidates, v.bounds))
+        frozenset(rw.ranking[pos] for rw in ranking_completions(profile.candidates, v.bounds))
         for v in profile.voters
     ]
 

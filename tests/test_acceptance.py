@@ -177,6 +177,11 @@ def test_c5_possible_winner_1d_oracle_equivalence(capsys):
 
 
 def test_c6_plurality_veto_flows_2d(capsys):
+    """The 2D flows and `brute_pw` share no enumeration code: the flows read
+    place sets off Voronoi cells (`geometry.place_sets`, one LFP per
+    candidate), while `brute_pw` walks every completion that `_split_faces`
+    builds from the box's bisector arrangement.  So this criterion checks
+    two independent derivations against each other."""
     with report(capsys, 6, "plurality/veto flow algorithms match the oracle in 2D, 200 instances", 180.0):
         rng = random.Random(1006)
         for _ in range(200):

@@ -22,7 +22,8 @@ from spatialvote import (
     ranking_completions,
     specify_faces,
 )
-from spatialvote.geometry import box_inequalities, tie_points_1d
+from spatialvote.errors import DimensionMismatch
+from spatialvote.geometry import box_inequalities, place_sets, tie_points_1d
 
 
 def line(a, b, c):
@@ -262,3 +263,66 @@ class TestEnumerateDD:
         cands = (Candidate("a", (0, 0)), Candidate("b", (1, 1)))
         box = VoterBox("v", ((0, 1), (0, 1)))
         assert ranking_completions(cands, box.bounds) is ranking_completions(cands, box.bounds)
+
+
+def place_set_case(rng):
+    """Candidates and a box in d = 2 or 3, m = 2..7, on a small grid.
+
+    Coordinates are integers in three cases of four (halves otherwise), so
+    bisectors run through box corners and along edges.  The box is full, a
+    segment (one free coordinate) or a point; in a third of the cases it is
+    centred on a candidate, and in a quarter a candidate copies an earlier
+    one's position.  Returns the case and the features it has.
+    """
+    d = rng.choice((2, 3))
+    m = rng.randint(2, 7)
+    den = 2 if rng.random() < 0.25 else 1
+
+    def coord():
+        return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+    positions = [tuple(coord() for _ in range(d)) for _ in range(m)]
+    coincident = rng.random() < 0.25
+    if coincident:
+        positions[rng.randrange(1, m)] = positions[rng.randrange(m - 1)]
+    candidates = tuple(Candidate(f"c{i}", p) for i, p in enumerate(positions))
+    inside = rng.random() < 1 / 3
+    centre = rng.choice(positions) if inside else tuple(coord() for _ in range(d))
+    kind = rng.choice(("full", "segment", "point"))
+    free = {"full": range(d), "segment": (rng.randrange(d),), "point": ()}[kind]
+    bounds = tuple(
+        (x - Fraction(rng.randint(0, 2), den), x + Fraction(rng.randint(1, 2), den)) if i in free else (x, x)
+        for i, x in enumerate(centre)
+    )
+    flags = {"coincident": coincident, "inside": inside, "integer": den == 1}
+    features = {kind, f"d={d}", f"m={m}"} | {name for name, flag in flags.items() if flag}
+    return candidates, bounds, features
+
+
+class TestPlaceSets:
+    """`place_sets` reads first and last places off the Voronoi cells; they
+    must be exactly the first and last places of the box's completions."""
+
+    def test_matches_completions(self):
+        rng = random.Random(1601)
+        seen = set()
+        for _ in range(500):
+            candidates, bounds, features = place_set_case(rng)
+            seen |= features
+            completions = ranking_completions(candidates, bounds)
+            assert place_sets(candidates, bounds, False) == {rw.ranking[0] for rw in completions}
+            assert place_sets(candidates, bounds, True) == {rw.ranking[-1] for rw in completions}
+        wanted = {"full", "segment", "point", "coincident", "inside", "integer", "d=2", "d=3"}
+        assert wanted | {f"m={m}" for m in range(2, 8)} <= seen
+
+    def test_index_tie_breaking_on_a_bisector(self):
+        # the box is the segment x = 0, on the bisector of c0 and c1
+        cands = (Candidate("c0", (-1, 0)), Candidate("c1", (1, 0)), Candidate("c2", (0, 9)))
+        bounds = ((Fraction(0), Fraction(0)), (Fraction(-1), Fraction(1)))
+        assert place_sets(cands, bounds, False) == {0}
+        assert place_sets(cands, bounds, True) == {2}
+
+    def test_dimension_mismatch(self):
+        cands = (Candidate("a", (0, 0)), Candidate("b", (1, 1, 1)))
+        with pytest.raises(DimensionMismatch):
+            place_sets(cands, ((Fraction(0), Fraction(1)),) * 2, False)

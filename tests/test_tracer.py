@@ -25,6 +25,21 @@ FOUR_ON_A_LINE = {
     "candidates": [{"id": f"c{j + 1}", "position": [str(j)]} for j in range(4)],
     "voters": [{"id": "v1", "bounds": [["0", "3"]]}, {"id": "v2", "bounds": [["1", "1"]]}],
 }
+# A 2D profile, so `pw --rule veto` reads its place sets off Voronoi cells.
+FOUR_IN_THE_PLANE = {
+    "schema_version": 1,
+    "kind": "election",
+    "dimension": 2,
+    "candidates": [
+        {"id": f"c{j + 1}", "position": [str(x), str(y)]}
+        for j, (x, y) in enumerate([(0, 0), (4, 0), (0, 4), (3, 3)])
+    ],
+    "voters": [
+        {"id": "v1", "bounds": [["0", "4"], ["0", "4"]]},
+        {"id": "v2", "bounds": [["1", "1"], ["0", "2"]]},
+        {"id": "v3", "bounds": [["3", "3"], ["1", "1"]]},
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -37,6 +52,7 @@ FOUR_ON_A_LINE = {
         pytest.param(["pw", "--rule", "borda", "--allow-exponential"], id="pw-allow-exponential"),
         pytest.param(["pw", "--rule", "plurality"], id="pw-plurality"),
         pytest.param(["pw", "--rule", "approval:2"], id="pw-approval"),
+        pytest.param(["pw", "--rule", "veto"], id="pw-veto-2d"),
     ],
     ids=lambda c: c[0],
 )
@@ -50,6 +66,9 @@ def test_tracer_runs_cli_commands(tmp_path, command):
     if "approval:2" in command or "fkt:2:1" in command:
         instance = tmp_path / "four.json"
         instance.write_text(json.dumps(FOUR_ON_A_LINE))
+    if "veto" in command:
+        instance = tmp_path / "plane.json"
+        instance.write_text(json.dumps(FOUR_IN_THE_PLANE))
     proc = subprocess.run(
         [sys.executable, TRACER, str(spans_out), "--", *command, "--instance", str(instance)],
         env=env,
@@ -70,6 +89,11 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         assert all(spans[parent][0] != "oracle" for *_, parent in oracle_spans if parent >= 0)
     if "plurality" in command:
         # One flow call decides every candidate of the query.
+        assert [span[0] for span in spans].count("winners.flow") == 1
+    if "veto" in command:
+        # In 2D the flow reads Voronoi cells through the LFP, never the arrangement.
+        assert "lfp.feasible" in names
+        assert "geometry.enumerate_rankings_dd" not in names
         assert [span[0] for span in spans].count("winners.flow") == 1
     if "approval:2" in command:
         # approval-1d's scheduler counts are read through this span.

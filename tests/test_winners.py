@@ -25,7 +25,8 @@ from spatialvote import (
     route_for,
     rule_from_text,
 )
-from spatialvote import oracle, winners
+from spatialvote import geometry, oracle, winners
+from spatialvote.cli import generate_election
 from spatialvote.errors import DimensionMismatch
 from spatialvote.geometry import ranking_completions, tie_points_1d
 from spatialvote.winners import (
@@ -212,6 +213,27 @@ class TestFlows:
             assert all(size <= 2 + types + 5 for size in sizes)
             networks += len(sizes)
         assert networks > 0
+
+
+class TestPlaceSetRoutes:
+    """The flows read place sets off Voronoi cells in d >= 2, never the
+    completions, and off the 1D completions in d = 1, never the LFP."""
+
+    @pytest.mark.parametrize(
+        "dimension, module, name",
+        [(1, geometry, "feasible"), (2, winners, "ranking_completions"), (3, winners, "ranking_completions")],
+    )
+    def test_flows_take_one_path_per_dimension(self, monkeypatch, dimension, module, name):
+        profiles = [generate_election(seed, dimension, 5, 4, 4, 2) for seed in range(6)]
+        expected = [(brute_pw(p, ScoringRule.plurality()), brute_pw(p, ScoringRule.veto())) for p in profiles]
+
+        def refuse(*args):
+            raise AssertionError(f"a d={dimension} flow called {name}")
+
+        monkeypatch.setattr(module, name, refuse)
+        for profile, (plurality, veto) in zip(profiles, expected):
+            assert pw_plurality(profile, range(5)) == plurality
+            assert pw_veto(profile, range(5)) == veto
 
 
 class TestNecessaryWinner:
