@@ -9,9 +9,13 @@ bisection instead of sorting distances.  In higher dimensions the
 candidate-pair bisector hyperplanes partition space into faces on which the
 distance ranking is constant; the faces are built incrementally by splitting
 every face a new hyperplane crosses, with feasibility (and witnesses) decided
-by the exact rational LFP solver.  `place_sets` answers the narrower
-question of which candidates a box can rank first or last from the Voronoi
-cells alone, without building the arrangement.
+by the exact rational LFP solver.  Inside a voter's box two kinds of split
+need no LFP: a bisector that misses the box splits nothing and is
+dropped, and with one free coordinate the faces are intervals, so one
+bisection finds the single face a bisector cuts (`_split_intervals`).
+`place_sets` answers the narrower question of which candidates a box can
+rank first or last from the Voronoi cells alone, without building the
+arrangement.
 
 Boundary convention: every hyperplane's nonstrict side is the one containing
 the lower-indexed candidate of its pair, so points on the hyperplane fall in
@@ -148,6 +152,13 @@ def bisectors(candidates: Sequence[Candidate]) -> list[Hyperplane]:
     return planes
 
 
+@lru_cache(maxsize=1024)
+def _bisector_sides(candidates: tuple[Candidate, ...]) -> tuple[LinearInequality, ...]:
+    """The closed sides of a candidate tuple's bisectors, built once and
+    shared by every box over the same candidates."""
+    return tuple(plane.closed_side() for plane in bisectors(candidates))
+
+
 def _split_faces(
     dimension: int,
     seed: tuple[LinearInequality, ...],
@@ -209,6 +220,48 @@ def _restrict_to_free_dims(
     return LinearInequality(tuple(q.coeffs[i] for i in free), const, q.strict)
 
 
+def _split_intervals(lo: Fraction, hi: Fraction, sides: Sequence[LinearInequality]) -> list[Fraction]:
+    """`_split_faces` on the segment [lo, hi] of one free coordinate: the face
+    witnesses, in the same order and with the same values, without the LFP.
+
+    Every face is an interval and the faces partition the segment, so the
+    one face holding a side's cut theta = b/a is the last, along the
+    segment, whose left end lies at or before theta; bisection over the left
+    ends finds it.  Its closed part keeps its place with witness theta, and
+    its open part, if nonempty, is appended with its midpoint as witness,
+    which is what Fourier-Motzkin back-substitution returns for these
+    systems.  Every side's cut must lie in [lo, hi].
+    """
+    rights = [hi]  # per face, its right end
+    witnesses = [(lo + hi) / 2]
+    # left ends sorted along the segment, an open end after a closed one at
+    # the same value, and the face each belongs to
+    keys: list[tuple[Fraction, bool]] = [(lo, False)]
+    order = [0]
+    for side in sides:
+        a = side.coeffs[0]
+        theta = side.constant / a
+        pos = bisect_right(keys, (theta, False)) - 1
+        f = order[pos]
+        witnesses[f] = theta
+        if a > 0:  # closed part x <= theta keeps the left end
+            right, rights[f] = rights[f], theta
+            if theta < right:
+                keys.insert(pos + 1, (theta, True))
+                order.insert(pos + 1, len(rights))
+                rights.append(right)
+                witnesses.append((theta + right) / 2)
+        else:  # closed part x >= theta; the open part keeps the left end
+            left = keys[pos][0]
+            if left < theta:
+                order[pos] = len(rights)
+                keys.insert(pos + 1, (theta, False))
+                order.insert(pos + 1, f)
+                rights.append(theta)
+                witnesses.append((left + theta) / 2)
+    return witnesses
+
+
 def enumerate_rankings_dd(
     candidates: Sequence[Candidate], box: VoterBox
 ) -> list[RankingWithWitness]:
@@ -217,7 +270,11 @@ def enumerate_rankings_dd(
     Runs the `specify_faces` construction seeded with the box, so only faces
     meeting the box are ever materialized, and in the box's non-degenerate
     dimensions only.  The resulting ranking set is identical to intersecting
-    the full-space faces with the box afterwards.
+    the full-space faces with the box afterwards.  The bisectors' sides are
+    built once per candidate tuple.  Those that miss the box are dropped
+    first, since they split no face, and a box with one free coordinate is
+    split as intervals by `_split_intervals`, without the LFP; neither
+    changes a face, a witness or their order.
     """
     d = box.dimension
     if any(len(c.position) != d for c in candidates):
@@ -230,19 +287,32 @@ def enumerate_rankings_dd(
 
     free = [i for i, (lo, hi) in enumerate(box.bounds) if lo < hi]
     fixed = {i: lo for i, (lo, hi) in enumerate(box.bounds) if lo == hi}
+    free_bounds = [box.bounds[i] for i in free]
 
     def restrict(rows: Sequence[LinearInequality]) -> tuple[LinearInequality, ...]:
-        # a row without free coefficients is constant over the box and splits nothing
-        restricted = (_restrict_to_free_dims(q, free, fixed) for q in rows)
-        return tuple(q for q in restricted if any(q.coeffs))
+        # a row without free coefficients is constant over the box and splits
+        # nothing, and neither does a hyperplane that misses the box: over
+        # the box a.x ranges between the sums of min and of max a_i*lo_i, a_i*hi_i
+        out = []
+        for q in rows:
+            q = _restrict_to_free_dims(q, free, fixed)
+            spans = [(a * lo, a * hi) for a, (lo, hi) in zip(q.coeffs, free_bounds)]
+            if any(q.coeffs) and sum(map(min, spans)) <= q.constant <= sum(map(max, spans)):
+                out.append(q)
+        return tuple(out)
 
-    seed = restrict(box_inequalities(box))
-    centre = tuple((box.bounds[i][0] + box.bounds[i][1]) / 2 for i in free)
-    sides = restrict([plane.closed_side() for plane in bisectors(candidates)])
+    sides = restrict(_bisector_sides(tuple(candidates)))
+    if len(free) == 1:
+        ((lo, hi),) = free_bounds
+        witnesses = [(x,) for x in _split_intervals(lo, hi, sides)]
+    else:
+        centre = tuple((lo + hi) / 2 for lo, hi in free_bounds)
+        seed = restrict(box_inequalities(box))
+        witnesses = [wit for _, wit in _split_faces(len(free), seed, centre, sides)]
 
     out: list[RankingWithWitness] = []
     seen: set[Ranking] = set()
-    for _, wit in _split_faces(len(free), seed, centre, sides):
+    for wit in witnesses:
         full = _lift(wit, free, fixed, d)
         r = rank_from_point(full, candidates)
         if r not in seen:

@@ -237,9 +237,11 @@ def reduce_scheduling_to_pw(
     approve the target as well).  Filler voters with no uncertainty bring
     every line candidate up to the same baseline approval count.
 
-    Raises InstanceTooLarge when the check of the built election would split
-    more bisectors (job voters times candidate pairs) than the oracle's
-    default guard allows.
+    Every job voter's box is a segment (its height is fixed), so the check
+    of the built election splits it as intervals, at most one bisection
+    per bisector and no LFP call.  Raises InstanceTooLarge when that check would
+    split more bisectors (job voters times candidate pairs) than the
+    oracle's default guard allows.
     """
     if instance.machines != 1:
         raise PreconditionViolated("the reduction needs exactly one machine")
@@ -270,7 +272,8 @@ def reduce_scheduling_to_pw(
         span += k
 
     # before any candidate is built: `_validate_reduction` splits each job
-    # voter's box by the bisectors of all span + 1 candidates
+    # voter's segment by the bisectors of all span + 1 candidates, each one
+    # bisection at most, so this bounds the work actually done
     _check_guard(len(jobs) * comb(span + 1, 2), DEFAULT_GUARD, "bisectors to split in the reduction")
 
     target = Candidate("cstar", (Fraction(0), Fraction(3 * span)))

@@ -3,7 +3,8 @@
 `necessary_winner` and `possible_winner` take the candidate indices to decide
 (`range(m)` for the whole set, `(c,)` for one verdict) and return the winners
 among them.  Necessary winners: every positional scoring rule and every fixed
-dimension, in one pass per voter over its completions.  Possible winners, in
+dimension, in one pass per voter over its completions, or under plurality
+and veto over the voters' first/last-place sets.  Possible winners, in
 polynomial time: plurality and veto in any dimension (bipartite flows over the
 first/last-place-capable candidate sets, one node per voter type); in one
 dimension, all two-valued rules (reduction to equal-length scheduling),
@@ -63,11 +64,16 @@ def necessary_winner(
     the (independent) voters of each voter's largest score(r) - score(c) is
     positive (Xia & Conitzer, JAIR 41, 2011).  One pass over each voter's
     completions yields that largest difference for every requested c and
-    every rival at once.
+    every rival at once.  Under plurality and veto the largest difference
+    depends only on the voter's first- or last-place set, which
+    `_nw_from_place_sets` reads instead.
     """
     wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
     vec = realize_score_vector(rule, m)
+    canon = canonical_vector(vec)
+    if canon in ((1,) + (0,) * (m - 1), (1,) * (m - 1) + (0,)):
+        return _nw_from_place_sets(profile, wanted, last=canon[1] == 1)
     lead = {c: [0] * m for c in wanted}
     for voter in profile.voters:
         scores = set()
@@ -82,6 +88,36 @@ def necessary_winner(
             for r in range(m):
                 total[r] += max(score[r] - score[c] for score in scores)
     return frozenset(c for c, total in lead.items() if max(total) <= 0)
+
+
+def _nw_from_place_sets(
+    profile: PartialSpatialProfile, wanted: frozenset[int], last: bool
+) -> frozenset[int]:
+    """`necessary_winner` under plurality (`last` false) or veto, read off
+    each voter type's first- or last-place set P.
+
+    Under plurality a voter's largest score(r) - score(c) is 1 if r is in P,
+    -1 if P is {c} and 0 otherwise; under veto it is 1 if c is in P, -1 if
+    P is {r} and 0 otherwise.  The rule's own score vector scales every
+    difference by one positive constant, which keeps every verdict.
+    """
+    m = profile.num_candidates
+    types = Counter(_place_sets(profile, last))
+    won = set()
+    for c in wanted:
+        lead = [0] * m
+        for places, n in types.items():
+            for r in range(m):
+                if r == c:
+                    continue
+                gain, sole = (c, r) if last else (r, c)
+                if gain in places:
+                    lead[r] += n
+                elif places == {sole}:
+                    lead[r] -= n
+        if max(lead) <= 0:
+            won.add(c)
+    return frozenset(won)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 from math import comb
@@ -8,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen_helpers import grid_rankings_1d, random_profile_1d, random_profile_2d
+from split_reference import reference_enumerate_rankings_dd
 from sweep_reference import reference_enumerate_rankings_1d, reference_tie_points_1d
 from spatialvote import geometry
 from spatialvote.cli import generate_election
 from spatialvote import (
     Candidate,
     Hyperplane,
+    Job,
+    SchedulingInstance,
     VoterBox,
     bisectors,
     enumerate_rankings_1d,
@@ -24,6 +29,9 @@ from spatialvote import (
 )
 from spatialvote.errors import DimensionMismatch
 from spatialvote.geometry import box_inequalities, place_sets, tie_points_1d
+from spatialvote.scheduling import reduce_scheduling_to_pw
+
+SCHEDULING = os.path.join(os.path.dirname(__file__), "..", "instances", "two_jobs_one_machine.json")
 
 
 def line(a, b, c):
@@ -263,6 +271,132 @@ class TestEnumerateDD:
         cands = (Candidate("a", (0, 0)), Candidate("b", (1, 1)))
         box = VoterBox("v", ((0, 1), (0, 1)))
         assert ranking_completions(cands, box.bounds) is ranking_completions(cands, box.bounds)
+
+
+def split_case(rng):
+    """Candidates and a box in d = 2 or 3, m = 2..6, with 1..d free coordinates.
+
+    Positions lie on an integer or half-integer grid and box sides run from
+    half a grid step to two steps, so bisectors pass through box corners
+    and along edges, and small boxes often sit between all of them; in a
+    quarter of the cases a candidate copies an earlier one's position.
+    Returns the case and the features it has, read off each bisector's
+    values at the box's corners.
+    """
+    d, m, den = rng.choice((2, 3)), rng.randint(2, 6), rng.choice((1, 2))
+
+    def coord():
+        return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+    positions = [tuple(coord() for _ in range(d)) for _ in range(m)]
+    coincident = rng.random() < 0.25
+    if coincident:
+        positions[rng.randrange(1, m)] = positions[rng.randrange(m - 1)]
+    candidates = tuple(Candidate(f"c{i}", p) for i, p in enumerate(positions))
+    free = rng.sample(range(d), rng.randint(1, d))
+    bounds = tuple(
+        (x, x + Fraction(rng.randint(1, 4), 2 * den)) if i in free else (x, x)
+        for i, x in enumerate(coord() for _ in range(d))
+    )
+    features = {f"{len(free)} free of d={d}"} | ({"coincident"} if coincident else set())
+    met = []
+    for plane in bisectors(candidates):
+        values = [sum(a * x for a, x in zip(plane.coeffs, corner)) for corner in itertools.product(*bounds)]
+        low, high = min(values), max(values)
+        met.append(low <= plane.constant <= high)
+        if low < high and plane.constant in (low, high):
+            features.add("touched")
+    if met and not any(met):
+        features.add("missed")
+    return candidates, bounds, features
+
+
+class TestSplitShortcuts:
+    """Interval faces for one free coordinate and dropped bisectors that miss
+    the box must give exactly the LFP-only enumeration, witnesses included,
+    without calling the LFP where they apply."""
+
+    def test_matches_lfp_reference(self):
+        rng = random.Random(1806)
+        seen = set()
+        for _ in range(300):
+            candidates, bounds, features = split_case(rng)
+            seen |= features
+            box = VoterBox("v", bounds)
+            assert repr(enumerate_rankings_dd(candidates, box)) == repr(
+                reference_enumerate_rankings_dd(candidates, box)
+            )
+        wanted = {f"{k} free of d={d}" for d in (2, 3) for k in range(1, d + 1)}
+        assert wanted | {"coincident", "missed", "touched"} <= seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=2, max_size=6),
+                st.integers(0, d - 1),
+                st.tuples(*[st.integers(-6, 6)] * d),
+                st.integers(1, 8),
+            )
+        )
+    )
+    def test_segments_match_lfp_reference(self, case):
+        positions, axis, start, length = case
+        candidates = tuple(
+            Candidate(f"c{i}", tuple(Fraction(x, 2) for x in p)) for i, p in enumerate(positions)
+        )
+        bounds = tuple(
+            (Fraction(x, 2), Fraction(x + length * (i == axis), 2)) for i, x in enumerate(start)
+        )
+        box = VoterBox("v", bounds)
+        assert repr(enumerate_rankings_dd(candidates, box)) == repr(
+            reference_enumerate_rankings_dd(candidates, box)
+        )
+
+    @pytest.mark.parametrize(
+        "positions, bounds",
+        [
+            # x = 1 runs along the box's left edge
+            ([(0, 0), (2, 0), (0, 9)], [(1, 2), (0, 1)]),
+            # x + y = 2 touches the box's corner (1, 1)
+            ([(0, 0), (2, 2)], [(1, 2), (1, 2)]),
+            # x = 1 touches the segment's end
+            ([(0, 0), (2, 0), (5, 5)], [(1, 3), (0, 0)]),
+        ],
+    )
+    def test_bisector_touching_the_box_boundary(self, positions, bounds):
+        candidates = tuple(Candidate(f"c{i}", p) for i, p in enumerate(positions))
+        box = VoterBox("v", tuple((Fraction(lo), Fraction(hi)) for lo, hi in bounds))
+        out = enumerate_rankings_dd(candidates, box)
+        assert repr(out) == repr(reference_enumerate_rankings_dd(candidates, box))
+        # index tie-breaking ranks c0 first on its bisector with c1
+        assert any(rw.ranking[:2] == (0, 1) for rw in out)
+
+    def test_no_lfp_where_the_split_is_decided_without_it(self, monkeypatch):
+        rng = random.Random(1807)
+        segments = []
+        while len(segments) < 40:
+            candidates, bounds, features = split_case(rng)
+            if any(f.startswith("1 free") for f in features):
+                box = VoterBox("v", bounds)
+                segments.append((candidates, box, reference_enumerate_rankings_dd(candidates, box)))
+        # every bisector misses the box [-1, -1/2] x [-3, -2]
+        between = (Candidate("a", (0, 0)), Candidate("b", (4, 0)), Candidate("c", (0, 4)))
+        missed = VoterBox("v", ((Fraction(-1), Fraction(-1, 2)), (Fraction(-3), Fraction(-2))))
+        with open(SCHEDULING) as f:
+            jobs = json.load(f)["jobs"]
+        horizon_60 = SchedulingInstance(tuple(Job(**{**job, "deadline": 60}) for job in jobs), 1)
+
+        def refuse(*args):
+            raise AssertionError("the LFP was called")
+
+        monkeypatch.setattr(geometry, "feasible", refuse)
+        for candidates, box, expected in segments:
+            assert repr(enumerate_rankings_dd(candidates, box)) == repr(expected)
+        assert [rw.ranking for rw in enumerate_rankings_dd(between, missed)] == [(0, 1, 2)]
+        # `_validate_reduction` checks every job voter's approval windows
+        profile, target, _ = reduce_scheduling_to_pw(horizon_60, 3)
+        assert target == "cstar" and profile.num_candidates == 61
 
 
 def place_set_case(rng):

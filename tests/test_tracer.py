@@ -15,6 +15,7 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 ELECTION = os.path.join(ROOT, "instances", "three_candidates_line.json")
+SCHEDULING = os.path.join(ROOT, "instances", "two_jobs_one_machine.json")
 # Four candidates keep approval:2 two-valued and fkt:2:1 at (2, 2, 1, 0) (on
 # three they are veto), so `pw` reaches the two-valued route and the
 # equal-length scheduler.
@@ -53,6 +54,7 @@ FOUR_IN_THE_PLANE = {
         pytest.param(["pw", "--rule", "plurality"], id="pw-plurality"),
         pytest.param(["pw", "--rule", "approval:2"], id="pw-approval"),
         pytest.param(["pw", "--rule", "veto"], id="pw-veto-2d"),
+        pytest.param(["reduce-sched", "--k", "3"], id="reduce-sched"),
     ],
     ids=lambda c: c[0],
 )
@@ -69,6 +71,8 @@ def test_tracer_runs_cli_commands(tmp_path, command):
     if "veto" in command:
         instance = tmp_path / "plane.json"
         instance.write_text(json.dumps(FOUR_IN_THE_PLANE))
+    if command[0] == "reduce-sched":
+        instance = SCHEDULING
     proc = subprocess.run(
         [sys.executable, TRACER, str(spans_out), "--", *command, "--instance", str(instance)],
         env=env,
@@ -100,3 +104,9 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         assert "scheduling.feasible_equal_length" in names
     if "fkt:2:1" in command:
         assert "winners.two_valued" in names
+    if command[0] == "reduce-sched":
+        # arrangement-2d's `reduce_s` is read through this span; the job
+        # voters' boxes are segments, split as intervals without the LFP.
+        assert "scheduling.reduce_scheduling_to_pw" in names
+        assert "geometry.enumerate_rankings_dd" in names
+        assert "lfp.feasible" not in names

@@ -216,8 +216,9 @@ class TestFlows:
 
 
 class TestPlaceSetRoutes:
-    """The flows read place sets off Voronoi cells in d >= 2, never the
-    completions, and off the 1D completions in d = 1, never the LFP."""
+    """The flows, and NW under plurality and veto, read place sets off
+    Voronoi cells in d >= 2, never the completions, and off the 1D
+    completions in d = 1, never the LFP."""
 
     @pytest.mark.parametrize(
         "dimension, module, name",
@@ -225,15 +226,38 @@ class TestPlaceSetRoutes:
     )
     def test_flows_take_one_path_per_dimension(self, monkeypatch, dimension, module, name):
         profiles = [generate_election(seed, dimension, 5, 4, 4, 2) for seed in range(6)]
-        expected = [(brute_pw(p, ScoringRule.plurality()), brute_pw(p, ScoringRule.veto())) for p in profiles]
+        rules = (ScoringRule.plurality(), ScoringRule.veto())
+        expected = [[(brute_pw(p, rule), brute_nw(p, rule)) for rule in rules] for p in profiles]
 
         def refuse(*args):
             raise AssertionError(f"a d={dimension} flow called {name}")
 
         monkeypatch.setattr(module, name, refuse)
-        for profile, (plurality, veto) in zip(profiles, expected):
+        for profile, ((plurality, nw_plurality), (veto, nw_veto)) in zip(profiles, expected):
             assert pw_plurality(profile, range(5)) == plurality
             assert pw_veto(profile, range(5)) == veto
+            assert necessary_winner(profile, rules[0], range(5)) == nw_plurality
+            assert necessary_winner(profile, rules[1], range(5)) == nw_veto
+
+    def test_necessary_winner_from_place_sets_matches_oracle(self):
+        """Seeded 2D and 3D profiles, m = 2..5, with plurality and veto given
+        by name and by scaled explicit vectors; every verdict occurs."""
+        rng = random.Random(1805)
+        verdicts = set()
+        for _ in range(60):
+            d, m = rng.choice((2, 3)), rng.randint(2, 5)
+            profile = generate_election(rng.randrange(10**6), d, m, rng.randint(1, 4), 3, 2)
+            rules = [
+                ScoringRule.plurality(),
+                ScoringRule.veto(),
+                ScoringRule.explicit((5,) + (2,) * (m - 1)),
+                ScoringRule.explicit((3,) * (m - 1) + (1,)),
+            ]
+            for rule in rules:
+                nw = brute_nw(profile, rule)
+                check_winner_set(lambda cs: necessary_winner(profile, rule, cs), m, nw)
+                verdicts.add(bool(nw))
+        assert verdicts == {False, True}
 
 
 class TestNecessaryWinner:
