@@ -2,9 +2,13 @@
 
 Decides whether a system of strict and nonstrict linear inequalities in d
 variables has a solution, and if so returns a rational witness.  Variables
-are eliminated from the highest index down; the witness is rebuilt by
+are eliminated from the highest index down to x_1; the witness is rebuilt by
 back-substitution, taking the midpoint of each variable's feasible interval
-(or an interior point offset by 1 when one side is open).
+(or an interior point offset by 1 when one side is open).  The last
+variable, x_0, is settled as one interval: every row left then bounds x_0
+alone, so instead of combining all P x N pairs of upper and lower bounds,
+back-substitution takes the tightest of each, and an empty interval means
+the system is infeasible.
 
 Elimination is fraction-free, in the spirit of Bareiss (Math. Comp. 22,
 1968): each input row is scaled by the lcm of its denominators to an
@@ -12,9 +16,12 @@ integer vector (coefficients and constant), once per `LinearInequality`
 object however many systems share it, and every row, input or combined,
 is divided by the gcd of its entries.  The resulting primitive
 vector is the one integer representative of its halfspace under positive
-scaling, so it doubles as the key that drops duplicate rows.  `Fraction`
-appears only in back-substitution and in the final exact re-check of the
-witness against the original system.
+scaling, so it doubles as the key that drops duplicate rows.
+Back-substitution is in integers too: the witness is an integer vector over
+one common denominator, each bound an integer pair compared by
+cross-multiplying, and the exact re-check of the witness against every
+input row tests that row's integer vector.  `Fraction` appears only in the
+returned witness.
 
 The number of variables in this package is the spatial dimension d, which is
 tiny and fixed, so the elimination blowup is bounded in practice.
@@ -29,9 +36,6 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import SelfCheckFailed
-
-_ZERO = Fraction(0)
-
 
 class LinearInequality(namedtuple("LinearInequality", "coeffs constant strict", defaults=(False,))):
     """``coeffs . x < constant`` (`strict`) or ``coeffs . x <= constant``, with
@@ -73,9 +77,10 @@ class InequalitySystem(namedtuple("InequalitySystem", "dimension inequalities"))
 
 
 def _primitive(values: Sequence[int], strict: bool) -> tuple[tuple[int, ...], bool]:
-    """The row divided by the gcd of its entries: one key per halfspace."""
+    """The row divided by the gcd of its entries: one key per halfspace.  An
+    all-zero row (gcd 0) stays as it is."""
     g = gcd(*values)
-    if g != 1:
+    if g > 1:
         values = [v // g for v in values]
     return (tuple(values), strict)
 
@@ -109,6 +114,11 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
             else:
                 keep.append(row)
         stages.append((var, pos + neg))
+        if var == 0:
+            # every row bounds x_0 alone: back-substitution's interval test
+            # decides the P x N pairs at once
+            rows = keep
+            break
         combined = {}
         for pv, ps in pos:
             for nv, ns in neg:
@@ -127,35 +137,59 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     if rows:
         raise SelfCheckFailed("rows remain after eliminating every variable")
 
-    witness: list[Optional[Fraction]] = [None] * d
+    # The witness is W / den with integer W and den > 0; a bound on x_var is
+    # num / pos with pos > 0, and bounds compare by cross-multiplying.
+    W = [0] * d
+    den = 1
     for var, vrows in reversed(stages):
-        lb = None  # (value, strict)
+        lb = None  # (num, pos, strict)
         ub = None
         for vec, strict in vrows:
             a = vec[var]
-            rest = sum(vec[i] * witness[i] for i in range(var) if vec[i] != 0)
-            bound = Fraction(vec[-1] - rest) / a
-            if a > 0:  # x <= bound (or <)
-                if ub is None or bound < ub[0] or (bound == ub[0] and strict):
-                    ub = (bound, strict)
-            else:  # x >= bound (or >)
-                if lb is None or bound > lb[0] or (bound == lb[0] and strict):
-                    lb = (bound, strict)
+            num = vec[-1] * den - sum(vec[i] * W[i] for i in range(var))
+            pos = a * den
+            if a > 0:  # x <= num / pos (or <)
+                if ub is None or num * ub[1] < ub[0] * pos or (num * ub[1] == ub[0] * pos and strict):
+                    ub = (num, pos, strict)
+            else:  # x >= num / pos (or >) once the signs flip
+                num, pos = -num, -pos
+                if lb is None or num * lb[1] > lb[0] * pos or (num * lb[1] == lb[0] * pos and strict):
+                    lb = (num, pos, strict)
         if lb is None and ub is None:
-            witness[var] = _ZERO
+            num, pos = 0, 1
         elif lb is None:
-            witness[var] = ub[0] - 1
+            num, pos = ub[0] - ub[1], ub[1]
         elif ub is None:
-            witness[var] = lb[0] + 1
+            num, pos = lb[0] + lb[1], lb[1]
         else:
-            if not (lb[0] < ub[0] or (lb[0] == ub[0] and not lb[1] and not ub[1])):
+            low, high = lb[0] * ub[1], ub[0] * lb[1]
+            if not (low < high or (low == high and not lb[2] and not ub[2])):
+                if var == 0:
+                    return None
                 raise SelfCheckFailed("back-substitution hit an empty interval on a feasible system")
-            witness[var] = (lb[0] + ub[0]) / 2
+            num, pos = low + high, 2 * lb[1] * ub[1]
+        g = gcd(num, pos)
+        num, pos = num // g, pos // g
+        new_den = lcm(den, pos)
+        if new_den != den:
+            scale = new_den // den
+            W = [w * scale for w in W]
+            den = new_den
+        W[var] = num * (den // pos)
 
-    point = tuple(witness)
-    if not all(q.holds(point) for q in system.inequalities):
+    point = tuple(Fraction(w, den) for w in W)
+    if not all(_holds(q.integer_row, W, den) for q in system.inequalities):
         raise SelfCheckFailed(f"witness {point} violates the system it certifies")
     return point
+
+
+def _holds(row: tuple[tuple[int, ...], bool], W: Sequence[int], den: int) -> bool:
+    """Whether the integer row (a', b') holds at the point W / den, den > 0:
+    a'.W against b'.den, which for a positive multiple of a row decides the
+    row itself."""
+    vec, strict = row
+    lhs = sum(a * w for a, w in zip(vec, W))
+    return lhs < vec[-1] * den if strict else lhs <= vec[-1] * den
 
 
 def _constant_ok(b, strict: bool) -> bool:
