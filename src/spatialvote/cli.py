@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -354,18 +353,9 @@ def cmd_faces(args) -> int:
 
 
 def _guard_value(args) -> int:
-    source, guard = "--guard", args.guard
-    if guard is None:
-        source, env = "SVK_GUARD", os.environ.get("SVK_GUARD")
-        if env is None:
-            return oracle.DEFAULT_GUARD
-        try:
-            guard = int(env)
-        except ValueError as exc:
-            raise InvalidInstance(f"SVK_GUARD: {exc}") from exc
-    if guard < 0:
-        raise InvalidInstance(f"{source}: the guard must be at least 0, got {guard}")
-    return guard
+    if args.guard < 0:
+        raise InvalidInstance(f"--guard: the guard must be at least 0, got {args.guard}")
+    return args.guard
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         if candidate:
             p.add_argument("--candidate", help="restrict to a membership verdict for this candidate id")
         if guard:
-            p.add_argument("--guard", type=int, help="oracle work guard per voter step (default SVK_GUARD or 10^6)")
+            p.add_argument(
+                "--guard", type=int, default=oracle.DEFAULT_GUARD, help="oracle work guard per voter step (default 10^6)"
+            )
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("rankings", help="ranking completions per voter, with witnesses")

@@ -129,12 +129,3 @@ def is_possible_winner(
     """Whether `candidate` wins some completion."""
     return candidate in _winner_sets(profile, rule, guard)[0]
 
-
-def is_necessary_winner(
-    profile: PartialSpatialProfile,
-    rule: ScoringRule,
-    candidate: int,
-    guard: int = DEFAULT_GUARD,
-) -> bool:
-    """Whether `candidate` wins every completion."""
-    return candidate in _winner_sets(profile, rule, guard)[1]

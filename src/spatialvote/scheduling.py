@@ -112,10 +112,14 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
     Jobs are numbered in (deadline, arrival, id) order and the unstarted ones
     are kept as an int bitmask, so its lowest set bit is the job with the
     earliest latest start, and the lowest set bit of the jobs arrived by now
-    is the job EDF picks.  A search state is (time, sorted end times of the
-    running jobs, bitmask); failed states are memoized on it.  The search
+    is the job EDF picks.  Every running job ends in (time, time + p], so a
+    search state is (time, the number of running jobs ending at each of
+    time + 1 .. time + p, bitmask), whose size does not grow with the number
+    of machines; failed states are memoized on it.  The search
     runs on an explicit stack, one entry per state it branched from, so no
-    number of jobs meets Python's recursion limit.
+    number of jobs meets Python's recursion limit.  Its cost is still
+    exponential in the worst case: it raises InstanceTooLarge once it would
+    memoize more failed states than the oracle's default guard allows.
     """
     jobs = instance.jobs
     for job in jobs:
@@ -137,33 +141,34 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
 
     failed: set[tuple] = set()
     stack: list[tuple] = []  # (state, job started from it or 0, state to try if that fails)
-    state = (arrivals[0], (), arrived[-1])
+    idle = (0,) * p
+    state = (arrivals[0], idle, arrived[-1])
     while True:
-        time, busy, remaining = state
+        time, ends, remaining = state
         if not remaining:
             break
         if latest[(remaining & -remaining).bit_length() - 1] >= time and state not in failed:
             idx = bisect_right(arrivals, time)
             ready = remaining & arrived[idx - 1]
-            if ready and len(busy) < t:
+            running = sum(ends)
+            if ready and running < t:
                 # Start the EDF pick now, else idle one unit.  Every running
                 # job started by now, so time + p is the latest end time.
                 pick = ready & -ready
-                nxt = time + 1
-                stack.append((state, pick, (nxt, busy[bisect_right(busy, nxt):], remaining)))
-                state = (time, busy + (time + p,), remaining ^ pick)
+                stack.append((state, pick, (time + 1, ends[1:] + (0,), remaining)))
+                state = (time, ends[:-1] + (ends[-1] + 1,), remaining ^ pick)
                 continue
             # Nothing can start: jump to the next arrival or, with every
             # machine busy, the next end time, whichever comes first.
             pending = remaining ^ ready
+            nxt = time + 1 + next(i for i, n in enumerate(ends) if n) if running else None
             if pending:
                 while not pending & arrived[idx]:
                     idx += 1
-                nxt = arrivals[idx] if len(busy) < t else min(busy[0], arrivals[idx])
-            else:
-                nxt = busy[0]
+                nxt = arrivals[idx] if running < t else min(nxt, arrivals[idx])
+            shift = min(nxt - time, p)
             stack.append((state, 0, None))
-            state = (nxt, busy[bisect_right(busy, nxt):], remaining)
+            state = (nxt, ends[shift:] + idle[:shift], remaining)
             continue
         while stack:
             parent, pick, alternative = stack.pop()
@@ -172,6 +177,7 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
                 state = alternative
                 break
             failed.add(parent)
+            _check_guard(len(failed), DEFAULT_GUARD, "memoized failed scheduler states")
         else:
             return None
 

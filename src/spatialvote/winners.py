@@ -3,8 +3,10 @@
 `necessary_winner` and `possible_winner` take the candidate indices to decide
 (`range(m)` for the whole set, `(c,)` for one verdict) and return the winners
 among them.  Necessary winners: every positional scoring rule and every fixed
-dimension, in one pass per voter over its completions, or under plurality
-and veto over the voters' first/last-place sets.  Possible winners, in
+dimension, in one pass over the voter types, the distinct sets of score
+vectors a voter can contribute; voters with equal boxes share one type, and
+under plurality and veto so do voters with equal first/last-place sets,
+which d >= 2 reads off the Voronoi cells.  Possible winners, in
 polynomial time: plurality and veto in any dimension (bipartite flows over the
 first/last-place-capable candidate sets, one node per voter type); in one
 dimension, all two-valued rules (reduction to equal-length scheduling),
@@ -62,62 +64,53 @@ def necessary_winner(
 
     A rival r ends strictly ahead of c in some completion iff the sum over
     the (independent) voters of each voter's largest score(r) - score(c) is
-    positive (Xia & Conitzer, JAIR 41, 2011).  One pass over each voter's
-    completions yields that largest difference for every requested c and
-    every rival at once.  Under plurality and veto the largest difference
-    depends only on the voter's first- or last-place set, which
-    `_nw_from_place_sets` reads instead.
+    positive (Xia & Conitzer, JAIR 41, 2011).  That largest difference
+    depends only on the set of score vectors a voter can contribute, so one
+    pass over the voter types (`_voter_types`) adds it, times the type's
+    multiplicity, for every requested c and every rival at once.
     """
     wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
-    vec = realize_score_vector(rule, m)
-    canon = canonical_vector(vec)
-    if canon in ((1,) + (0,) * (m - 1), (1,) * (m - 1) + (0,)):
-        return _nw_from_place_sets(profile, wanted, last=canon[1] == 1)
     lead = {c: [0] * m for c in wanted}
-    for voter in profile.voters:
+    for scores, n in _voter_types(profile, realize_score_vector(rule, m)).items():
+        for c, total in lead.items():
+            for r in range(m):
+                total[r] += n * max(score[r] - score[c] for score in scores)
+    return frozenset(c for c, total in lead.items() if max(total) <= 0)
+
+
+def _voter_types(
+    profile: PartialSpatialProfile, vec: Sequence[int]
+) -> Counter[frozenset[tuple[int, ...]]]:
+    """The voters counted by the set of score vectors each can contribute.
+
+    Under plurality and veto a vector is fixed by its first or last place,
+    so the types come from the voters' first- or last-place sets, which in
+    d >= 2 never enumerate completions.  Under every other rule voters with
+    equal boxes share one type, whose completions are scored once.
+    """
+    m = len(vec)
+    canon = canonical_vector(vec)
+    types: Counter[frozenset[tuple[int, ...]]] = Counter()
+    if canon in ((1,) + (0,) * (m - 1), (1,) * (m - 1) + (0,)):
+        last = canon[1] == 1
+        placed, other = (vec[-1], vec[0]) if last else (vec[0], vec[-1])
+        for places, n in Counter(_place_sets(profile, last)).items():
+            vectors = (tuple(placed if q == p else other for q in range(m)) for p in places)
+            types[frozenset(vectors)] += n
+        return types
+    for bounds, n in Counter(v.bounds for v in profile.voters).items():
         scores = set()
-        for rw in ranking_completions(profile.candidates, voter.bounds):
+        for rw in ranking_completions(profile.candidates, bounds):
             score = [0] * m
             for pos, cand in enumerate(rw.ranking):
                 score[cand] = vec[pos]
             scores.add(tuple(score))
         if not scores:
+            voter = next(v for v in profile.voters if v.bounds == bounds)
             raise SelfCheckFailed(f"voter {voter.id!r} has no ranking completion")
-        for c, total in lead.items():
-            for r in range(m):
-                total[r] += max(score[r] - score[c] for score in scores)
-    return frozenset(c for c, total in lead.items() if max(total) <= 0)
-
-
-def _nw_from_place_sets(
-    profile: PartialSpatialProfile, wanted: frozenset[int], last: bool
-) -> frozenset[int]:
-    """`necessary_winner` under plurality (`last` false) or veto, read off
-    each voter type's first- or last-place set P.
-
-    Under plurality a voter's largest score(r) - score(c) is 1 if r is in P,
-    -1 if P is {c} and 0 otherwise; under veto it is 1 if c is in P, -1 if
-    P is {r} and 0 otherwise.  The rule's own score vector scales every
-    difference by one positive constant, which keeps every verdict.
-    """
-    m = profile.num_candidates
-    types = Counter(_place_sets(profile, last))
-    won = set()
-    for c in wanted:
-        lead = [0] * m
-        for places, n in types.items():
-            for r in range(m):
-                if r == c:
-                    continue
-                gain, sole = (c, r) if last else (r, c)
-                if gain in places:
-                    lead[r] += n
-                elif places == {sole}:
-                    lead[r] -= n
-        if max(lead) <= 0:
-            won.add(c)
-    return frozenset(won)
+        types[frozenset(scores)] += n
+    return types
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from spatialvote import scheduling
 from spatialvote.cli import (
     election_to_document,
     generate_election,
@@ -275,21 +276,36 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InstanceTooLarge"
 
+    @pytest.mark.parametrize(
+        "guard, expected",
+        [("1", 2), ("1000", 0), ("0", 2), ("-3", 1)],  # 0 is valid: it allows no work
+    )
+    def test_guard_values(self, capsys, guard, expected):
+        code, out, err = run(
+            capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality", "--guard", guard
+        )
+        assert code == expected
+        if code:
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == ("InstanceTooLarge" if code == 2 else "InvalidInstance")
+
+    def test_scheduler_guard_exits_2(self, capsys, tmp_path, monkeypatch):
+        # The equal-length scheduler memoizes 128 failed states on this
+        # profile; below that guard `pw` exits 2 instead of growing.
+        path = write_doc(tmp_path, election_to_document(generate_election(3, 1, 6, 12, 8, 1)))
+        code, out, _ = run(capsys, "pw", "--instance", path, "--rule", "approval:3")
+        assert code == 0 and out
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 127)
+        code, out, err = run(capsys, "pw", "--instance", path, "--rule", "approval:3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InstanceTooLarge"
+
     def test_env_guard(self, capsys, monkeypatch):
+        # --guard is the guard's only source; the environment is not read.
         monkeypatch.setenv("SVK_GUARD", "1")
-        code, _, _ = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
-        assert code == 2
-        monkeypatch.setenv("SVK_GUARD", "1000")
-        code, _, _ = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
-        assert code == 0
-        monkeypatch.setenv("SVK_GUARD", "0")  # valid: it allows no work
-        code, _, err = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
-        assert code == 2 and json.loads(err)["error"]["type"] == "InstanceTooLarge"
-        monkeypatch.setenv("SVK_GUARD", "-3")
-        code, out, err = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
-        assert code == 1 and out == ""
-        error = json.loads(err)["error"]
-        assert error["type"] == "InvalidInstance" and error["message"].startswith("SVK_GUARD: ")
+        code, out, _ = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "plurality")
+        assert code == 0 and out
 
     @pytest.mark.parametrize(
         "command",

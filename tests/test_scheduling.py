@@ -19,6 +19,7 @@ from spatialvote import (
     feasible_equal_length,
     possible_winner,
     reduce_scheduling_to_pw,
+    scheduling,
     winners,
 )
 from spatialvote.cli import generate_election
@@ -73,6 +74,18 @@ class TestEqualLengthSolver:
         jobs = tuple(Job(f"j{i}", 1, 3, 2) for i in range(3))
         assert feasible_equal_length(SchedulingInstance(jobs, 3), 2) is not None
         assert feasible_equal_length(SchedulingInstance(jobs, 2), 2) is None
+
+    def test_memo_guard(self, monkeypatch):
+        # Infeasible only after backtracking: the search memoizes 13 failed
+        # states, one more than a guard of 12 allows.
+        times = [(2, 10), (3, 7), (3, 7), (1, 12), (7, 10)]
+        jobs = tuple(Job(f"j{i + 1}", a, d, 3) for i, (a, d) in enumerate(times))
+        instance = SchedulingInstance(jobs, 1)
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 13)
+        assert feasible_equal_length(instance, 3) is None
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 12)
+        with pytest.raises(InstanceTooLarge, match="13 memoized failed scheduler states"):
+            feasible_equal_length(instance, 3)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(17)

@@ -26,7 +26,8 @@ FOUR_ON_A_LINE = {
     "candidates": [{"id": f"c{j + 1}", "position": [str(j)]} for j in range(4)],
     "voters": [{"id": "v1", "bounds": [["0", "3"]]}, {"id": "v2", "bounds": [["1", "1"]]}],
 }
-# A 2D profile, so `pw --rule veto` reads its place sets off Voronoi cells.
+# A 2D profile, so `pw --rule veto` and `nw --rule plurality` read their
+# place sets off Voronoi cells.
 FOUR_IN_THE_PLANE = {
     "schema_version": 1,
     "kind": "election",
@@ -54,6 +55,7 @@ FOUR_IN_THE_PLANE = {
         pytest.param(["pw", "--rule", "plurality"], id="pw-plurality"),
         pytest.param(["pw", "--rule", "approval:2"], id="pw-approval"),
         pytest.param(["pw", "--rule", "veto"], id="pw-veto-2d"),
+        pytest.param(["nw", "--rule", "plurality"], id="nw-plurality-2d"),
         pytest.param(["reduce-sched", "--k", "3"], id="reduce-sched"),
     ],
     ids=lambda c: c[0],
@@ -68,7 +70,7 @@ def test_tracer_runs_cli_commands(tmp_path, command):
     if "approval:2" in command or "fkt:2:1" in command:
         instance = tmp_path / "four.json"
         instance.write_text(json.dumps(FOUR_ON_A_LINE))
-    if "veto" in command:
+    if "veto" in command or command[0] == "nw":
         instance = tmp_path / "plane.json"
         instance.write_text(json.dumps(FOUR_IN_THE_PLANE))
     if command[0] == "reduce-sched":
@@ -91,7 +93,7 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         oracle_spans = [span for span in spans if span[0] == "oracle"]
         assert oracle_spans
         assert all(spans[parent][0] != "oracle" for *_, parent in oracle_spans if parent >= 0)
-    if "plurality" in command:
+    if command[0] == "pw" and "plurality" in command:
         # One flow call decides every candidate of the query.
         assert [span[0] for span in spans].count("winners.flow") == 1
     if "veto" in command:
@@ -99,6 +101,11 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         assert "lfp.feasible" in names
         assert "geometry.enumerate_rankings_dd" not in names
         assert [span[0] for span in spans].count("winners.flow") == 1
+    if command[0] == "nw":
+        # In 2D, NW under plurality reads the same Voronoi place sets.
+        assert "winners.necessary_winner" in names
+        assert "lfp.feasible" in names
+        assert "geometry.enumerate_rankings_dd" not in names
     if "approval:2" in command:
         # approval-1d's scheduler counts are read through this span.
         assert "scheduling.feasible_equal_length" in names

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -287,6 +289,50 @@ class TestNecessaryWinner:
         check_winner_set(
             lambda cs: necessary_winner(profile, ScoringRule.plurality(), cs), 3, {0}
         )
+
+    def test_voter_types_keep_every_verdict(self):
+        """Seeded d = 1..3 profiles whose voters repeat a few boxes, under
+        plurality, veto, borda, approval:2, fkt:2:1 and scaled plurality and
+        veto vectors.  Every verdict equals `brute_nw`'s, and the digest of
+        all of them equals that of the per-voter loop this one replaced."""
+        rng = random.Random(3)
+        verdicts = []
+        for _ in range(30):
+            d, m = rng.choice((1, 2, 3)), rng.randint(4, 5)
+            base = generate_election(rng.randrange(10**6), d, m, rng.randint(1, 3), 3, 2)
+            boxes = [v.bounds for v in base.voters]
+            voters = tuple(VoterBox(f"v{i + 1}", rng.choice(boxes)) for i in range(rng.randint(1, 12)))
+            profile = PartialSpatialProfile(d, base.candidates, voters)
+            rules = [
+                ScoringRule.plurality(),
+                ScoringRule.veto(),
+                ScoringRule.borda(),
+                ScoringRule.k_approval(2),
+                ScoringRule.fkt(2, 1),
+                ScoringRule.explicit((5,) + (2,) * (m - 1)),
+                ScoringRule.explicit((3,) * (m - 1) + (1,)),
+            ]
+            for rule in rules:
+                nw = necessary_winner(profile, rule, range(m))
+                assert nw == brute_nw(profile, rule, 10**100)
+                verdicts.append(sorted(nw))
+        assert {bool(nw) for nw in verdicts} == {False, True}
+        digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+        assert digest == "44c34cb95ebf5bebb4a17ceef53a1dde3ffb5a9ea0b2fb9824a480b75b0770d2"
+
+    def test_one_completion_lookup_per_distinct_box(self, monkeypatch):
+        lookups = []
+
+        def counting(candidates, bounds):
+            lookups.append(bounds)
+            return ranking_completions(candidates, bounds)
+
+        monkeypatch.setattr(winners, "ranking_completions", counting)
+        profile = many_voters_on_few_boxes(random.Random(1805), 1)
+        boxes = {v.bounds for v in profile.voters}
+        borda = ScoringRule.borda()
+        assert necessary_winner(profile, borda, range(5)) == brute_nw(profile, borda, 10**100)
+        assert len(profile.voters) > len(boxes) == len(lookups) == len(set(lookups))
 
 
 class TestDispatch:
