@@ -1,15 +1,15 @@
 """Brute-force ground truth over all ranking completions of a profile.
 
 The completion space is the Cartesian product of each voter's ranking
-completions.  `enumerate_completions` streams it (an odometer over per-voter
-lists) and stays the naive reference.  The winner-set queries never visit a
-completion: winners depend only on the candidates' score totals, so one
-iterative fold over the voters builds the set of totals that some completion
-reaches (per voter, every reached total plus every distinct score vector the
-voter can contribute), and the possible and necessary winners are the union
-and intersection of the winner sets of those totals.  Each score vector is
-one packed `int` with a fixed-width bit field per candidate, wide enough
-that no field carries into the next, so a step adds plain integers; every
+completions; `tests/oracle_reference.py` lists it one profile at a time as
+the naive reference.  The winner-set queries never visit a completion:
+winners depend only on the candidates' score totals, so one iterative fold
+over the voters builds the set of totals that some completion reaches (per
+voter, every reached total plus every distinct score vector the voter can
+contribute), and the possible and necessary winners are the union and
+intersection of the winner sets of those totals.  Each score vector is one
+packed `int` with a fixed-width bit field per candidate, wide enough that
+no field carries into the next, so a step adds plain integers; every
 reached total is unpacked once, after the fold.  The guard bounds the work
 the fold does: before each voter's step, the number of (total,
 contribution) pairs that step would combine, which packing leaves unchanged.
@@ -17,14 +17,10 @@ contribution) pairs that step would combine, which packing leaves unchanged.
 
 from __future__ import annotations
 
-from math import prod
-from typing import Iterator
-
 from .errors import InstanceTooLarge
 from .geometry import ranking_completions
 from .model import (
     PartialSpatialProfile,
-    Ranking,
     ScoringRule,
     realize_score_vector,
     winners_of_scores,
@@ -41,28 +37,6 @@ def completion_lists(profile: PartialSpatialProfile) -> list[tuple]:
 def _check_guard(count: int, guard: int, what: str) -> None:
     if count > guard:
         raise InstanceTooLarge(f"{count} {what} exceed the guard of {guard}")
-
-
-def enumerate_completions(
-    profile: PartialSpatialProfile, guard: int = DEFAULT_GUARD
-) -> Iterator[tuple[Ranking, ...]]:
-    """Yield every ranking profile exactly once, voter-major lexicographic."""
-    lists = completion_lists(profile)
-    _check_guard(prod(len(lst) for lst in lists), guard, "completions")
-    n = len(lists)
-    if n == 0:
-        yield ()
-        return
-    idx = [0] * n
-    while True:
-        yield tuple(lists[i][idx[i]].ranking for i in range(n))
-        j = n - 1
-        while j >= 0 and idx[j] == len(lists[j]) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        idx[j] += 1
 
 
 def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> tuple[list[set[int]], int]:

@@ -2,29 +2,25 @@
 
 `necessary_winner` and `possible_winner` take the candidate indices to decide
 (`range(m)` for the whole set, `(c,)` for one verdict) and return the winners
-among them.  Necessary winners: every positional scoring rule and every fixed
-dimension, in one pass over the voter types, the distinct sets of score
-vectors a voter can contribute; voters with equal boxes share one type, and
-under plurality and veto so do voters with equal first/last-place sets,
-which d >= 2 reads off the Voronoi cells.  Possible winners, in
-polynomial time: plurality and veto in any dimension (bipartite flows over the
-first/last-place-capable candidate sets, one node per voter type); in one
-dimension, all two-valued rules (reduction to equal-length scheduling),
-weighted veto rules, and the three-valued rules F(k, t) with k > t.  Each of
-these routes takes the candidate set too: it summarizes every voter once per
-call and decides every candidate from that summary.  The 1D routes summarize
-a voter's completions, read off the shared line arrangement; in d >= 2 the
-flows never enumerate completions and read each box's first/last-place set
-off the Voronoi cells instead (`geometry.place_sets`, m LFP calls per
-distinct box).  Everything else falls back, behind an explicit opt-in flag,
-to one exhaustive oracle pass for all the candidates.
+among them.  A voter's possible contributions depend only on its box, so
+every route reads one per-box voter count (`_box_types`): each distinct box
+is summarized once per call, and every candidate is decided from the counts.
+Necessary winners: every positional scoring rule and every fixed dimension,
+in one pass over the voter types, the distinct sets of score vectors a
+voter can contribute.  Possible winners, in polynomial time: plurality and veto in
+any dimension (bipartite flows over the first/last-place sets, one node per
+voter type, read in d >= 2 off the Voronoi cells by `geometry.place_sets`);
+in one dimension, all two-valued rules (equal-length scheduling over the
+approval windows), weighted veto rules (an intersection of those windows)
+and the three-valued rules F(k, t) with k > t.  Everything else falls back,
+behind an explicit opt-in flag, to one exhaustive oracle pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import oracle
 from .errors import (
@@ -34,7 +30,7 @@ from .errors import (
     SelfCheckFailed,
     UnknownCandidate,
 )
-from .geometry import RankingWithWitness, place_sets, ranking_completions
+from .geometry import place_sets, ranking_completions
 from .model import (
     PartialSpatialProfile,
     ScoringRule,
@@ -79,38 +75,51 @@ def necessary_winner(
     return frozenset(c for c, total in lead.items() if max(total) <= 0)
 
 
+def _box_types(profile: PartialSpatialProfile, summary: Callable[[tuple], Hashable | None]) -> Counter | None:
+    """The voters counted by `summary(bounds)` of their box, called once per
+    distinct box; None, without a further call, at the first box whose
+    summary is None."""
+    types: Counter = Counter()
+    for bounds, n in Counter(v.bounds for v in profile.voters).items():
+        key = summary(bounds)
+        if key is None:
+            return None
+        types[key] += n
+    return types
+
+
 def _voter_types(
     profile: PartialSpatialProfile, vec: Sequence[int]
 ) -> Counter[frozenset[tuple[int, ...]]]:
     """The voters counted by the set of score vectors each can contribute.
 
     Under plurality and veto a vector is fixed by its first or last place,
-    so the types come from the voters' first- or last-place sets, which in
-    d >= 2 never enumerate completions.  Under every other rule voters with
-    equal boxes share one type, whose completions are scored once.
+    so the types come from the place sets (`_place_types`), which in d >= 2
+    never enumerate completions.  Under every other rule each distinct box's
+    completions are scored once.
     """
     m = len(vec)
     canon = canonical_vector(vec)
-    types: Counter[frozenset[tuple[int, ...]]] = Counter()
     if canon in ((1,) + (0,) * (m - 1), (1,) * (m - 1) + (0,)):
         last = canon[1] == 1
         placed, other = (vec[-1], vec[0]) if last else (vec[0], vec[-1])
-        for places, n in Counter(_place_sets(profile, last)).items():
-            vectors = (tuple(placed if q == p else other for q in range(m)) for p in places)
-            types[frozenset(vectors)] += n
-        return types
-    for bounds, n in Counter(v.bounds for v in profile.voters).items():
-        scores = set()
+        return Counter({
+            frozenset(tuple(placed if q == p else other for q in range(m)) for p in places): n
+            for places, n in _place_types(profile, last).items()
+        })
+
+    def scores(bounds: tuple) -> frozenset[tuple[int, ...]]:
+        vectors = set()
         for rw in ranking_completions(profile.candidates, bounds):
             score = [0] * m
             for pos, cand in enumerate(rw.ranking):
                 score[cand] = vec[pos]
-            scores.add(tuple(score))
-        if not scores:
-            voter = next(v for v in profile.voters if v.bounds == bounds)
-            raise SelfCheckFailed(f"voter {voter.id!r} has no ranking completion")
-        types[frozenset(scores)] += n
-    return types
+            vectors.add(tuple(score))
+        if not vectors:
+            raise SelfCheckFailed(f"box {bounds} has no ranking completion")
+        return frozenset(vectors)
+
+    return _box_types(profile, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -118,41 +127,51 @@ def _voter_types(
 # ---------------------------------------------------------------------------
 
 
-def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> list[tuple[int, int]]:
-    """Per voter, the window (lo, hi) of consecutive candidates (0-based
-    indices into the sorted order) that its top-k sets draw from."""
+def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> Counter[tuple[int, int]]:
+    """The voters counted by the window (lo, hi) of consecutive candidates
+    (indices into the sorted order) that their box's top-k sets draw from."""
     _require_1d(profile)
     m = profile.num_candidates
     if not 1 <= k <= m - 1:
         raise RuleMismatch(f"k={k} is not a two-valued rule at m={m}")
-    return [_window(v.id, ranking_completions(profile.candidates, v.bounds), k) for v in profile.voters]
+    return _box_types(profile, partial(_window, profile.candidates, k))
 
 
-def _window(voter_id: str, completions: Iterable[RankingWithWitness], k: int) -> tuple[int, int]:
-    approved = {cand for rw in completions for cand in rw.ranking[:k]}
+def _window(candidates: Sequence, k: int, bounds: tuple, admissible=lambda ranking: True) -> tuple[int, int] | None:
+    """The window of the top-k sets of the box's admissible completions, or
+    None if it has none."""
+    approved = {
+        cand
+        for rw in ranking_completions(candidates, bounds)
+        if admissible(rw.ranking)
+        for cand in rw.ranking[:k]
+    }
+    if not approved:
+        return None
     lo, hi = min(approved), max(approved)
     if len(approved) != hi - lo + 1:
-        raise SelfCheckFailed(f"voter {voter_id!r}: approved set is not consecutive")
+        raise SelfCheckFailed(f"box {bounds}: approved set is not consecutive")
     return lo, hi
 
 
-def _schedulable(windows: Sequence[tuple[int, int]], k: int, c: int) -> bool:
+def _schedulable(windows: Counter[tuple[int, int]], k: int, c: int) -> bool:
     """Whether `c` can win k-approval when each voter approves k consecutive
-    candidates inside its window.
+    candidates inside its window; `windows` counts the voters per window.
 
     A window containing `c` shrinks to [max(lo, c-k+1), min(hi, c+k-1)],
     where every choice approves `c`; this keeps whether `c` can win.  Each
-    window lo..hi becomes an equal-length job (arrival lo+1, deadline hi+2,
-    length k), one machine per voter that approves `c`, and `c` can win
-    exactly when the jobs admit a feasible schedule.
+    voter's window lo..hi becomes an equal-length job (arrival lo+1,
+    deadline hi+2, length k), one machine per voter that approves `c`, and
+    `c` can win exactly when the jobs admit a feasible schedule.
     """
     jobs = []
     supporters = 0
-    for i, (lo, hi) in enumerate(windows):
+    for (lo, hi), n in windows.items():
         if lo <= c <= hi:
-            supporters += 1
+            supporters += n
             lo, hi = max(lo, c - k + 1), min(hi, c + k - 1)
-        jobs.append(Job(id=f"j{i}", arrival=lo + 1, deadline=hi + 2, processing=k))
+        for _ in range(n):
+            jobs.append(Job(id=f"j{len(jobs)}", arrival=lo + 1, deadline=hi + 2, processing=k))
     if supporters == 0:
         return not windows
     instance = SchedulingInstance(tuple(jobs), machines=supporters)
@@ -163,8 +182,8 @@ def pw_two_valued_1d(
     profile: PartialSpatialProfile, k: int, candidates: Iterable[int]
 ) -> frozenset[int]:
     """The possible winners among `candidates` under k-approval in one
-    dimension: one pass over the voters builds their approval windows, then
-    one scheduling instance per candidate decides it."""
+    dimension: one pass over the distinct boxes counts the voters per
+    approval window, then one scheduling instance per candidate decides it."""
     wanted = _candidate_set(profile, candidates)
     windows = approval_windows_1d(profile, k)
     return frozenset(c for c in wanted if _schedulable(windows, k, c))
@@ -181,12 +200,12 @@ def pw_weighted_veto_1d(
     """The possible winners among `candidates` under a weighted veto rule
     (alpha, ..., alpha, betas) in one dimension.
 
-    A candidate wins iff every voter can rank it above the bottom band, so
-    one pass over the voters intersects the candidates each voter can rank
-    there.  The bottom band always holds the farthest candidates, which sit
-    at the ends of the line, so every middle candidate is in the
-    intersection (it scores the maximal n * alpha in every completion) and
-    only edge candidates, the len(betas) leftmost and rightmost, can fail.
+    A candidate wins iff every voter can rank it above the bottom band, that
+    is, inside the top-(m - len(betas)) approval window of its box.  The
+    bottom band always holds the farthest candidates, which sit at the ends
+    of the line, so every middle candidate is in every window (it scores
+    the maximal n * alpha in every completion) and only edge candidates,
+    the len(betas) leftmost and rightmost, can fail.
     """
     _require_1d(profile)
     if rule.kind != "weighted-veto":
@@ -194,12 +213,10 @@ def pw_weighted_veto_1d(
     wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
     realize_score_vector(rule, m)  # validates 2*len(betas) < m
-    top = m - len(rule.betas)
-    above = set(range(m))
-    for voter in profile.voters:
-        completions = ranking_completions(profile.candidates, voter.bounds)
-        above &= {cand for rw in completions for cand in rw.ranking[:top]}
-    return wanted & above
+    windows = approval_windows_1d(profile, m - len(rule.betas))
+    lo = max((lo for lo, _ in windows), default=0)
+    hi = min((hi for _, hi in windows), default=m - 1)
+    return wanted & frozenset(range(lo, hi + 1))
 
 
 def pw_fkt_1d(
@@ -210,9 +227,10 @@ def pw_fkt_1d(
 
     Middle-band candidates win under F(k, t) exactly when they win under
     plain k-approval, and one `pw_two_valued_1d` call decides all of them.
-    An edge candidate c must additionally never score zero, so each voter
-    is kept to its admissible completions, those that rank c above the
-    bottom t positions, and its approval window is read from them.
+    An edge candidate c must additionally never score zero, so each box is
+    kept to its admissible completions, those that rank c above the bottom
+    t positions, and its approval window is read from them; c loses at the
+    first box with none.
 
     The admissible completions are those of a single interval of ideal
     points, so their top-k sets still form one consecutive window.  Proof:
@@ -236,16 +254,10 @@ def pw_fkt_1d(
     middle = wanted & frozenset(range(t, m - t))
     won = set(pw_two_valued_1d(profile, k, middle)) if middle else set()
     for c in wanted - middle:
-        windows = []
-        for voter in profile.voters:
-            completions = ranking_completions(profile.candidates, voter.bounds)
-            admissible = [rw for rw in completions if rw.ranking.index(c) < m - t]
-            if not admissible:
-                break
-            windows.append(_window(voter.id, admissible, k))
-        else:
-            if _schedulable(windows, k, c):
-                won.add(c)
+        window = partial(_window, profile.candidates, k, admissible=lambda ranking: ranking.index(c) < m - t)
+        windows = _box_types(profile, window)
+        if windows is not None and _schedulable(windows, k, c):
+            won.add(c)
     return frozenset(won)
 
 
@@ -253,15 +265,10 @@ def pw_fkt_1d(
 # Plurality and veto in any dimension (bipartite flows)
 # ---------------------------------------------------------------------------
 #
-# A flow needs only each voter's first-place (plurality) or last-place (veto)
-# set.  In d >= 2 that is the set of candidates whose nearest- (farthest-)
-# point Voronoi cell meets the box: c is first somewhere in the box iff the
-# box rows plus, for every rival r, 2(r - c).x < |r|^2 - |c|^2 (r < c) or
-# <= (r > c) are feasible, and last iff 2(c - r).x <= |c|^2 - |r|^2 (r < c)
-# or < (r > c) are; strict rows are where index tie-breaking goes against c.
-# That is m LFP calls per distinct box, however many faces the box's
-# bisector arrangement has.  In d = 1 the sets come from the completions,
-# which the shared line arrangement yields without any LFP call.
+# A flow needs only each box's first-place (plurality) or last-place (veto)
+# set: in d >= 2 the candidates whose nearest- (farthest-) point Voronoi cell
+# meets the box (`geometry.place_sets`, m LFP calls per distinct box); in
+# d = 1 those of its completions, read off the shared line arrangement.
 
 
 class _FlowNetwork:
@@ -301,28 +308,18 @@ class _FlowNetwork:
             total += bottleneck
 
 
-def first_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
-    """Per voter, the candidates rankable first in some completion: those
-    whose nearest-point Voronoi cell meets its box in d >= 2 (`place_sets`),
-    the first places of its completions in d = 1."""
-    return _place_sets(profile, last=False)
-
-
-def last_place_sets(profile: PartialSpatialProfile) -> list[frozenset[int]]:
-    """Per voter, the candidates rankable last in some completion: those
-    whose farthest-point Voronoi cell meets its box in d >= 2 (`place_sets`),
-    the last places of its completions in d = 1."""
-    return _place_sets(profile, last=True)
-
-
-def _place_sets(profile: PartialSpatialProfile, last: bool) -> list[frozenset[int]]:
+def _place_types(profile: PartialSpatialProfile, last: bool) -> Counter[frozenset[int]]:
+    """The voters counted by the candidates their box can rank first (last
+    if `last`): those whose nearest- (farthest-) point Voronoi cell meets it
+    in d >= 2 (`place_sets`), the first (last) places of its completions in
+    d = 1."""
     if profile.dimension > 1:
-        return [place_sets(profile.candidates, v.bounds, last) for v in profile.voters]
+        return _box_types(profile, partial(place_sets, profile.candidates, last=last))
     pos = -1 if last else 0
-    return [
-        frozenset(rw.ranking[pos] for rw in ranking_completions(profile.candidates, v.bounds))
-        for v in profile.voters
-    ]
+    return _box_types(
+        profile,
+        lambda bounds: frozenset(rw.ranking[pos] for rw in ranking_completions(profile.candidates, bounds)),
+    )
 
 
 def pw_plurality(profile: PartialSpatialProfile, candidates: Iterable[int]) -> frozenset[int]:
@@ -335,10 +332,11 @@ def pw_plurality(profile: PartialSpatialProfile, candidates: Iterable[int]) -> f
     Voters with equal first-place sets form one voter type, a single node
     whose edges carry the type's multiplicity, so the network has at most
     2 + (distinct sets) + m nodes whatever the number of voters.  The types
-    are counted once per call and shared by every candidate's flow.
+    are counted once per call, one place set per distinct box, and shared
+    by every candidate's flow.
     """
     wanted = _candidate_set(profile, candidates)
-    types = Counter(first_place_sets(profile))
+    types = _place_types(profile, last=False)
     m = profile.num_candidates
     won = set()
     for c in wanted:
@@ -360,7 +358,7 @@ def pw_veto(profile: PartialSpatialProfile, candidates: Iterable[int]) -> frozen
     the types are counted once per call.
     """
     wanted = _candidate_set(profile, candidates)
-    types = Counter(last_place_sets(profile))
+    types = _place_types(profile, last=True)
     m = profile.num_candidates
     won = set()
     for c in wanted:

@@ -6,7 +6,7 @@ import pytest
 
 from gen_helpers import random_profile_1d, random_profile_2d
 from oracle_reference import _score_choices as reference_score_choices
-from oracle_reference import reference_winner_sets
+from oracle_reference import enumerate_completions, reference_winner_sets
 from spatialvote import (
     Candidate,
     InstanceTooLarge,
@@ -16,7 +16,6 @@ from spatialvote import (
     VoterBox,
     brute_nw,
     brute_pw,
-    enumerate_completions,
     is_possible_winner,
     oracle,
     ranking_completions,

@@ -26,6 +26,15 @@ FOUR_ON_A_LINE = {
     "candidates": [{"id": f"c{j + 1}", "position": [str(j)]} for j in range(4)],
     "voters": [{"id": "v1", "bounds": [["0", "3"]]}, {"id": "v2", "bounds": [["1", "1"]]}],
 }
+# Two voters share a box, so the per-box routes look up two completion lists.
+REPEATED_BOX = {
+    **FOUR_ON_A_LINE,
+    "voters": [
+        {"id": "v1", "bounds": [["0", "3"]]},
+        {"id": "v2", "bounds": [["1", "1"]]},
+        {"id": "v3", "bounds": [["0", "3"]]},
+    ],
+}
 # A 2D profile, so `pw --rule veto` and `nw --rule plurality` read their
 # place sets off Voronoi cells.
 FOUR_IN_THE_PLANE = {
@@ -61,11 +70,6 @@ FOUR_IN_THE_PLANE = {
     ids=lambda c: c[0],
 )
 def test_tracer_runs_cli_commands(tmp_path, command):
-    spans_out = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
     instance = ELECTION
     if "approval:2" in command or "fkt:2:1" in command:
         instance = tmp_path / "four.json"
@@ -75,15 +79,7 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         instance.write_text(json.dumps(FOUR_IN_THE_PLANE))
     if command[0] == "reduce-sched":
         instance = SCHEDULING
-    proc = subprocess.run(
-        [sys.executable, TRACER, str(spans_out), "--", *command, "--instance", str(instance)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_out.read_text())["spans"]
+    spans = _trace(tmp_path, command, instance)
     names = {span[0] for span in spans}
     assert "cli.main" in names
     if command[0] == "faces":
@@ -117,3 +113,30 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         assert "scheduling.reduce_scheduling_to_pw" in names
         assert "geometry.enumerate_rankings_dd" in names
         assert "lfp.feasible" not in names
+
+
+def test_tracer_counts_one_completion_lookup_per_distinct_box(tmp_path):
+    instance = tmp_path / "repeated.json"
+    instance.write_text(json.dumps(REPEATED_BOX))
+    spans = _trace(tmp_path, ["pw", "--rule", "plurality"], instance)
+    boxes = {tuple(map(tuple, voter["bounds"])) for voter in REPEATED_BOX["voters"]}
+    assert len(REPEATED_BOX["voters"]) > len(boxes)
+    assert [span[0] for span in spans].count("geometry.ranking_completions") == len(boxes)
+
+
+def _trace(tmp_path, command, instance):
+    """Run one CLI command under the tracer and return its spans."""
+    spans_out = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, TRACER, str(spans_out), "--", *command, "--instance", str(instance)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans_out.read_text())["spans"]

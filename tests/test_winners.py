@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -31,12 +32,7 @@ from spatialvote import geometry, oracle, winners
 from spatialvote.cli import generate_election
 from spatialvote.errors import DimensionMismatch
 from spatialvote.geometry import ranking_completions, tie_points_1d
-from spatialvote.winners import (
-    _FlowNetwork,
-    approval_windows_1d,
-    first_place_sets,
-    last_place_sets,
-)
+from spatialvote.winners import _FlowNetwork, approval_windows_1d
 
 
 def line_profile(positions, boxes):
@@ -63,12 +59,14 @@ def many_voters_on_few_boxes(rng, dimension, m=5, n=60, num_boxes=4):
 
 class TestApprovalWindows:
     def test_reference_instance(self):
-        assert approval_windows_1d(REFERENCE, 1) == [(0, 2)]
-        assert approval_windows_1d(REFERENCE, 2) == [(0, 2)]
+        assert approval_windows_1d(REFERENCE, 1) == Counter({(0, 2): 1})
+        assert approval_windows_1d(REFERENCE, 2) == Counter({(0, 2): 1})
 
     def test_degenerate_voter(self):
         profile = line_profile([1, 2, 3], [(2, 2)])
-        assert approval_windows_1d(profile, 1) == [(1, 1)]
+        assert approval_windows_1d(profile, 1) == Counter({(1, 1): 1})
+        profile = line_profile([1, 2, 3], [(2, 2), (1, 3), (2, 2)])
+        assert approval_windows_1d(profile, 1) == Counter({(1, 1): 2, (0, 2): 1})
 
     def test_needs_1d(self):
         profile = PartialSpatialProfile(
@@ -192,11 +190,9 @@ class TestFlows:
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize(
-        "rule, place_sets",
-        [(ScoringRule.plurality(), first_place_sets), (ScoringRule.veto(), last_place_sets)],
-        ids=["plurality", "veto"],
+        "rule, last", [(ScoringRule.plurality(), False), (ScoringRule.veto(), True)], ids=["plurality", "veto"]
     )
-    def test_one_node_per_voter_type(self, monkeypatch, dimension, rule, place_sets):
+    def test_one_node_per_voter_type(self, monkeypatch, dimension, rule, last):
         sizes = []
         init = _FlowNetwork.__init__
 
@@ -211,8 +207,18 @@ class TestFlows:
             profile = many_voters_on_few_boxes(rng, dimension)
             sizes.clear()
             assert possible_winner(profile, rule, range(5)) == brute_pw(profile, rule, 10**100)
-            types = len(set(place_sets(profile)))
-            assert all(size <= 2 + types + 5 for size in sizes)
+            # the distinct first- (last-) place sets, read here straight off
+            # the completions in 1D and the Voronoi cells in 2D
+            boxes = {v.bounds for v in profile.voters}
+            if dimension == 1:
+                pos = -1 if last else 0
+                sets = {
+                    frozenset(rw.ranking[pos] for rw in ranking_completions(profile.candidates, b))
+                    for b in boxes
+                }
+            else:
+                sets = {geometry.place_sets(profile.candidates, b, last) for b in boxes}
+            assert all(size <= 2 + len(sets) + 5 for size in sizes)
             networks += len(sizes)
         assert networks > 0
 
@@ -407,7 +413,7 @@ class TestDispatch:
             ("fkt:2:1", "fkt-1d"),
         ],
     )
-    def test_one_completion_lookup_per_voter(self, monkeypatch, rule, route):
+    def test_one_completion_lookup_per_distinct_box(self, monkeypatch, rule, route):
         lookups = []
 
         def counting(candidates, bounds):
@@ -415,16 +421,72 @@ class TestDispatch:
             return ranking_completions(candidates, bounds)
 
         monkeypatch.setattr(winners, "ranking_completions", counting)
-        m, n = 6, 4
-        profile = random_profile_1d(random.Random(73), m, n)
+        profile = many_voters_on_few_boxes(random.Random(73), 1)
+        boxes = len({v.bounds for v in profile.voters})
+        assert len(profile.voters) > boxes
         rule = rule_from_text(rule)
         assert route_for(profile, rule) == route
-        assert possible_winner(profile, rule, range(m)) == brute_pw(profile, rule)
+        assert possible_winner(profile, rule, range(5)) == brute_pw(profile, rule, 10**100)
         if route == "fkt-1d":
-            edges = 2 * rule.t
-            assert 0 < len(lookups) <= n * (1 + edges)
+            assert 0 < len(lookups) <= boxes * (1 + 2 * rule.t)
         else:
-            assert len(lookups) == n
+            assert len(lookups) == boxes
+
+    @pytest.mark.parametrize("rule", [ScoringRule.plurality(), ScoringRule.veto()], ids=["plurality", "veto"])
+    def test_one_place_set_per_distinct_box_2d(self, monkeypatch, rule):
+        calls = []
+
+        def counting(candidates, bounds, last):
+            calls.append(bounds)
+            return geometry.place_sets(candidates, bounds, last)
+
+        monkeypatch.setattr(winners, "place_sets", counting)
+        profile = many_voters_on_few_boxes(random.Random(79), 2)
+        boxes = len({v.bounds for v in profile.voters})
+        assert len(profile.voters) > boxes
+        assert possible_winner(profile, rule, range(5)) == brute_pw(profile, rule, 10**100)
+        assert len(calls) == boxes
+        calls.clear()
+        assert necessary_winner(profile, rule, range(5)) == brute_nw(profile, rule, 10**100)
+        assert len(calls) == boxes
+
+    def test_box_types_keep_every_verdict(self):
+        """Seeded d = 1..3 profiles whose voters repeat a few boxes, under
+        every polynomial possible-winner route.  Every verdict equals
+        `brute_pw`'s, and the digest of all of them equals that of the
+        per-voter loops the per-box counts replaced."""
+        rng = random.Random(21)
+        verdicts = []
+        routes = set()
+        for _ in range(30):
+            d, m = rng.choice((1, 2, 3)), rng.randint(5, 6)
+            base = generate_election(rng.randrange(10**6), d, m, rng.randint(1, 3), 3, 2)
+            boxes = [v.bounds for v in base.voters]
+            voters = tuple(VoterBox(f"v{i + 1}", rng.choice(boxes)) for i in range(rng.randint(1, 12)))
+            profile = PartialSpatialProfile(d, base.candidates, voters)
+            rules = [
+                ScoringRule.plurality(),
+                ScoringRule.veto(),
+                ScoringRule.explicit((5,) + (2,) * (m - 1)),
+                ScoringRule.explicit((3,) * (m - 1) + (1,)),
+            ]
+            if d == 1:
+                rules += [
+                    ScoringRule.k_approval(2),
+                    ScoringRule.k_veto(2),
+                    ScoringRule.weighted_veto(3, (2, 1)),
+                    ScoringRule.fkt(2, 1),
+                    ScoringRule.fkt(3, 1),
+                ]
+            for rule in rules:
+                routes.add(route_for(profile, rule))
+                pw = possible_winner(profile, rule, range(m))
+                assert pw == brute_pw(profile, rule, 10**100)
+                verdicts.append(sorted(pw))
+        assert routes == {"plurality-flow", "veto-flow", "two-valued-1d", "weighted-veto-1d", "fkt-1d"}
+        assert {len(pw) for pw in verdicts} == set(range(1, 7))
+        digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+        assert digest == "39d50ca5534252d81e3a13aca490f63af5268e8187fc73116cdc519eb6893a6b"
 
     def test_dispatch_agrees_with_oracle_across_rules(self):
         rng = random.Random(67)
