@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the work guard that
+raises `InstanceTooLarge`."""
+
+#: The default bound on exhaustive work: an oracle fold step, the scheduler's memo, the reduction's check.
+DEFAULT_GUARD = 10**6
 
 
 class SpatialVoteError(Exception):
@@ -19,6 +23,11 @@ class RuleMismatch(SpatialVoteError):
 
 class InstanceTooLarge(SpatialVoteError):
     """An exhaustive computation would exceed its size guard."""
+
+
+def _check_guard(count: int, guard: int, what: str) -> None:
+    if count > guard:
+        raise InstanceTooLarge(f"{count} {what} exceed the guard of {guard}")
 
 
 class NoPolynomialAlgorithm(SpatialVoteError):

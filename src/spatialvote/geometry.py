@@ -5,22 +5,22 @@ the line cut at those tie points is Coombs' unfolding (C. Coombs, *A Theory
 of Data*, 1964).  `_line_arrangement` builds it once per candidate tuple,
 with the ranking at every tie point and on every open cell between them, and
 every voter's sweep over the same candidates looks its probes up there by
-bisection instead of sorting distances.  In higher dimensions the
-candidate-pair bisector hyperplanes partition space into faces on which the
-distance ranking is constant; the faces are built incrementally by splitting
-every face a new hyperplane crosses, with feasibility (and witnesses) decided
-by the exact rational LFP solver.  Inside a voter's box two kinds of split
-need no LFP: a bisector that misses the box splits nothing and is
-dropped, and with one free coordinate the faces are intervals, so one
-bisection finds the single face a bisector cuts (`_split_intervals`).
-`place_sets` answers the narrower question of which candidates a box can
-rank first or last from the Voronoi cells alone, without building the
-arrangement.
+bisection instead of sorting distances.  In higher dimensions one pair
+table, `_precedence_rows`, holds every candidate pair's bisector row.  The
+bisectors partition space into faces on which the distance ranking is
+constant; the faces are built incrementally by splitting every face a new
+hyperplane crosses, with feasibility (and witnesses) decided by the exact
+rational LFP solver.  Inside a voter's box two kinds of split need no LFP:
+a bisector that misses the box splits nothing and is dropped, and with one
+free coordinate the faces are intervals, so one bisection finds the single
+face a bisector cuts (`_split_intervals`).  `place_sets` reads the same
+table to find which candidates a box can rank first or last from the
+Voronoi cells alone, without building the arrangement.
 
-Boundary convention: every hyperplane's nonstrict side is the one containing
-the lower-indexed candidate of its pair, so points on the hyperplane fall in
-the face whose ranking matches index tie-breaking.  Two faces produced this
-way never share a point.
+Boundary convention: every hyperplane's nonstrict side, the table's row
+rows[i][j] with i < j, is the one containing the lower-indexed candidate of
+its pair, so points on the hyperplane fall in the face whose ranking matches
+index tie-breaking.  Two faces produced this way never share a point.
 
 Note on tie-point probes: a 1D tie point can carry a ranking that neither
 neighbouring sub-interval has.  With candidates at 0, 4, 2, 6 (indices 0-3)
@@ -140,23 +140,15 @@ def enumerate_rankings_1d(
 
 
 def bisectors(candidates: Sequence[Candidate]) -> list[Hyperplane]:
-    """One bisector per unordered pair with distinct positions."""
-    planes = []
-    for i, j in itertools.combinations(range(len(candidates)), 2):
-        pi, pj = candidates[i].position, candidates[j].position
-        if pi == pj:
-            continue  # permanently tied pair, ordered by index
-        coeffs = tuple(2 * (b - a) for a, b in zip(pi, pj))
-        constant = sum(b * b for b in pj) - sum(a * a for a in pi)
-        planes.append(Hyperplane(coeffs, constant, (i, j)))
-    return planes
-
-
-@lru_cache(maxsize=1024)
-def _bisector_sides(candidates: tuple[Candidate, ...]) -> tuple[LinearInequality, ...]:
-    """The closed sides of a candidate tuple's bisectors, built once and
-    shared by every box over the same candidates."""
-    return tuple(plane.closed_side() for plane in bisectors(candidates))
+    """One bisector per unordered pair i < j with distinct positions, read
+    from the pair table: its closed side is `_precedence_rows`' rows[i][j].
+    A coincident pair's row is all zero; index tie-breaking orders it."""
+    rows = _precedence_rows(tuple(candidates))
+    return [
+        Hyperplane(rows[i][j].coeffs, rows[i][j].constant, (i, j))
+        for i, j in itertools.combinations(range(len(candidates)), 2)
+        if any(rows[i][j].coeffs)
+    ]
 
 
 def _split_faces(
@@ -271,7 +263,9 @@ def enumerate_rankings_dd(
     meeting the box are ever materialized, and in the box's non-degenerate
     dimensions only.  The resulting ranking set is identical to intersecting
     the full-space faces with the box afterwards.  The bisectors' sides are
-    built once per candidate tuple.  Those that miss the box are dropped
+    the upper triangle rows[i][j], i < j, of the pair table
+    `_precedence_rows`, in `itertools.combinations` order.  A coincident
+    pair's all-zero row, and every side that misses the box, are dropped
     first, since they split no face, and a box with one free coordinate is
     split as intervals by `_split_intervals`, without the LFP; neither
     changes a face, a witness or their order.
@@ -301,7 +295,8 @@ def enumerate_rankings_dd(
                 out.append(q)
         return tuple(out)
 
-    sides = restrict(_bisector_sides(tuple(candidates)))
+    rows = _precedence_rows(tuple(candidates))
+    sides = restrict([rows[i][j] for i, j in itertools.combinations(range(len(candidates)), 2)])
     if len(free) == 1:
         ((lo, hi),) = free_bounds
         witnesses = [(x,) for x in _split_intervals(lo, hi, sides)]
@@ -335,21 +330,24 @@ def _lift(
 
 @lru_cache(maxsize=1024)
 def _precedence_rows(candidates: tuple[Candidate, ...]) -> tuple[tuple[LinearInequality, ...], ...]:
-    """rows[a][b] holds exactly where candidate a is ranked before candidate b:
-    2(b - a).x <= |b|^2 - |a|^2, strict when b < a (index tie-breaking).
+    """The pair table: rows[a][b] holds exactly where candidate a is ranked
+    before candidate b, 2(b - a).x <= |b|^2 - |a|^2, strict when b < a (index
+    tie-breaking).  The only place a bisector row is computed: its upper
+    triangle gives face splitting's sides and `bisectors`, and `place_sets`
+    reads whole rows.  A coincident pair's row is all zero.
 
     Built once per candidate tuple, so every box shares the rows and each
-    row's `integer_row`.
+    row's `integer_row`.  rows[b][a] is the complement of rows[a][b], so
+    the lower triangle is the upper one negated.
     """
-    rows = []
-    for a, pa in enumerate(c.position for c in candidates):
-        row = []
-        for b, pb in enumerate(c.position for c in candidates):
-            coeffs = tuple(2 * (y - x) for x, y in zip(pa, pb))
-            constant = sum(y * y for y in pb) - sum(x * x for x in pa)
-            row.append(LinearInequality(coeffs, constant, strict=b < a))
-        rows.append(tuple(row))
-    return tuple(rows)
+    positions = [c.position for c in candidates]
+    norms = [sum(x * x for x in p) for p in positions]
+    rows = [[None] * len(positions) for _ in positions]
+    for a, b in itertools.combinations_with_replacement(range(len(positions)), 2):
+        coeffs = tuple(2 * (y - x) for x, y in zip(positions[a], positions[b]))
+        rows[a][b] = LinearInequality(coeffs, norms[b] - norms[a], strict=False)
+        rows[b][a] = rows[a][b].negation() if a < b else rows[a][b]
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=65536)

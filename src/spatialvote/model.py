@@ -312,9 +312,7 @@ def score_profile(rankings: Sequence[Ranking], rule: ScoringRule) -> tuple[int, 
 
 def winners_of_rankings(rankings: Sequence[Ranking], rule: ScoringRule) -> frozenset[int]:
     """Argmax candidate set under `rule`; never empty."""
-    scores = score_profile(rankings, rule)
-    best = max(scores)
-    return frozenset(i for i, s in enumerate(scores) if s == best)
+    return winners_of_scores(score_profile(rankings, rule))
 
 
 def winners_of_scores(scores: Sequence[int]) -> frozenset[int]:

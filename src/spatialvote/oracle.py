@@ -17,7 +17,7 @@ contribution) pairs that step would combine, which packing leaves unchanged.
 
 from __future__ import annotations
 
-from .errors import InstanceTooLarge
+from .errors import DEFAULT_GUARD, _check_guard
 from .geometry import ranking_completions
 from .model import (
     PartialSpatialProfile,
@@ -26,17 +26,10 @@ from .model import (
     winners_of_scores,
 )
 
-DEFAULT_GUARD = 10**6
-
 
 def completion_lists(profile: PartialSpatialProfile) -> list[tuple]:
     """Per-voter deduplicated ranking completions (with witnesses)."""
     return [ranking_completions(profile.candidates, v.bounds) for v in profile.voters]
-
-
-def _check_guard(count: int, guard: int, what: str) -> None:
-    if count > guard:
-        raise InstanceTooLarge(f"{count} {what} exceed the guard of {guard}")
 
 
 def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> tuple[list[set[int]], int]:

@@ -19,10 +19,9 @@ from math import comb
 from operator import or_
 from typing import Optional, Sequence
 
-from .errors import InstanceTooLarge, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed
+from .errors import DEFAULT_GUARD, InstanceTooLarge, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed, _check_guard
 from .geometry import ranking_completions
 from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox
-from .oracle import DEFAULT_GUARD, _check_guard
 
 
 class Job(namedtuple("Job", "id arrival deadline processing")):
@@ -119,7 +118,7 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
     runs on an explicit stack, one entry per state it branched from, so no
     number of jobs meets Python's recursion limit.  Its cost is still
     exponential in the worst case: it raises InstanceTooLarge once it would
-    memoize more failed states than the oracle's default guard allows.
+    memoize more failed states than the default work guard allows.
     """
     jobs = instance.jobs
     for job in jobs:
@@ -247,7 +246,7 @@ def reduce_scheduling_to_pw(
     of the built election splits it as intervals, at most one bisection
     per bisector and no LFP call.  Raises InstanceTooLarge when that check would
     split more bisectors (job voters times candidate pairs) than the
-    oracle's default guard allows.
+    default work guard allows.
     """
     if instance.machines != 1:
         raise PreconditionViolated("the reduction needs exactly one machine")

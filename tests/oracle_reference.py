@@ -6,13 +6,14 @@ reference for the oracle's fold.  `reference_winner_sets` is the fold
 per-voter contribution is a tuple with one entry per candidate, and each
 step adds them entry by entry.  Tests require the package's (union,
 intersection) to equal its result, and its guard to raise at the same
-values.
+values.  `contributions` and `fold_winner_sets` take rankings from any
+source, so the d >= 2 slice reference's rankings are folded the same way.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from spatialvote.model import PartialSpatialProfile, Ranking, ScoringRule, realize_score_vector, winners_of_scores
 from spatialvote.oracle import DEFAULT_GUARD, _check_guard, completion_lists
@@ -40,30 +41,31 @@ def enumerate_completions(
         idx[j] += 1
 
 
+def contributions(rankings: Iterable[Ranking], vec: Sequence[int]) -> list[tuple[int, ...]]:
+    """The distinct per-candidate score contributions of one voter's rankings."""
+    seen = set()
+    for ranking in rankings:
+        contrib = [0] * len(vec)
+        for pos, cand in enumerate(ranking):
+            contrib[cand] = vec[pos]
+        seen.add(tuple(contrib))
+    return sorted(seen)
+
+
 def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> list[list[tuple[int, ...]]]:
     """Per voter, the distinct per-candidate score contributions."""
     lists = completion_lists(profile)
-    m = profile.num_candidates
-    vec = realize_score_vector(rule, m)
-    choices = []
-    for lst in lists:
-        seen = set()
-        for rw in lst:
-            contrib = [0] * m
-            for pos, cand in enumerate(rw.ranking):
-                contrib[cand] = vec[pos]
-            seen.add(tuple(contrib))
-        choices.append(sorted(seen))
-    return choices
+    vec = realize_score_vector(rule, profile.num_candidates)
+    return [contributions((rw.ranking for rw in lst), vec) for lst in lists]
 
 
-def reference_winner_sets(
-    profile: PartialSpatialProfile, rule: ScoringRule, guard: int
+def fold_winner_sets(
+    choices: Sequence[Sequence[tuple[int, ...]]], m: int, guard: int = DEFAULT_GUARD
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """(union, intersection) of the winner sets over every completion."""
-    m = profile.num_candidates
+    """(union, intersection) of the winner sets over every way of adding
+    one contribution per voter."""
     reachable = {(0,) * m}
-    for contribs in _score_choices(profile, rule):
+    for contribs in choices:
         _check_guard(len(reachable) * len(contribs), guard, "score-total pairs in one voter step")
         reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
     union, inter = frozenset(), frozenset(range(m))
@@ -72,3 +74,10 @@ def reference_winner_sets(
         union |= winners
         inter &= winners
     return union, inter
+
+
+def reference_winner_sets(
+    profile: PartialSpatialProfile, rule: ScoringRule, guard: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """(union, intersection) of the winner sets over every completion."""
+    return fold_winner_sets(_score_choices(profile, rule), profile.num_candidates, guard)
