@@ -3,19 +3,22 @@
 In one dimension the ranking changes only at midpoints of candidate pairs:
 the line cut at those tie points is Coombs' unfolding (C. Coombs, *A Theory
 of Data*, 1964).  `_line_arrangement` builds it once per candidate tuple,
-with the ranking at every tie point and on every open cell between them, and
-every voter's sweep over the same candidates looks its probes up there by
-bisection instead of sorting distances.  In higher dimensions one pair
-table, `_precedence_rows`, holds every candidate pair's bisector row.  The
-bisectors partition space into faces on which the distance ranking is
-constant; the faces are built incrementally by splitting every face a new
-hyperplane crosses, with feasibility (and witnesses) decided by the exact
-rational LFP solver.  Inside a voter's box two kinds of split need no LFP:
-a bisector that misses the box splits nothing and is dropped, and with one
-free coordinate the faces are intervals, so one bisection finds the single
-face a bisector cuts (`_split_intervals`).  `place_sets` reads the same
-table to find which candidates a box can rank first or last from the
-Voronoi cells alone, without building the arrangement.
+with the ranking on every open cell and at every tie point, in order along
+the line.  An interval covers one contiguous run of those elements, found
+by two bisections (`arrangement_run_1d`), and every voter's sweep over the
+same candidates looks its probes up there instead of sorting distances.
+
+In higher dimensions one pair table, `_precedence_rows`, holds every
+candidate pair's bisector row.  The bisectors partition space into faces on
+which the distance ranking is constant; the faces are built incrementally by
+splitting every face a new hyperplane crosses, with feasibility (and
+witnesses) decided by the exact rational LFP solver.  Inside a voter's box
+two kinds of split need no LFP: a bisector that misses the box splits
+nothing and is dropped, and with one free coordinate the faces are
+intervals, so one bisection finds the single face a bisector cuts
+(`_split_intervals`).  `place_sets` reads the same table to find which
+candidates a box can rank first or last from the Voronoi cells alone,
+without building the arrangement.
 
 Boundary convention: every hyperplane's nonstrict side, the table's row
 rows[i][j] with i < j, is the one containing the lower-indexed candidate of
@@ -72,17 +75,17 @@ RankingWithWitness = namedtuple("RankingWithWitness", "ranking witness")
 
 
 @lru_cache(maxsize=1024)
-def _line_arrangement(
-    candidates: tuple[Candidate, ...],
-) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...], tuple[Ranking, ...]]:
+def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...]]:
     """The 1D rankings of a candidate tuple, shared by every voter.
 
-    Returns the sorted distinct pair midpoints `mids`, the ranking at each
-    midpoint, and the ranking on each of the len(mids)+1 open cells, where
-    cell j is the open interval just left of mids[j] (the last cell is the
-    ray right of the last midpoint).  Each pair's distance order flips only
-    at its midpoint, so the ranking is constant on every open cell; this
-    takes at most 2*C(m,2)+1 distance sorts.
+    Returns the sorted distinct pair midpoints `mids` and the rankings of
+    the 2*len(mids)+1 elements of the line in order: element 2j is open cell
+    j, the open interval just left of mids[j] (the last cell is the ray
+    right of the last midpoint), and element 2j+1 is the tie point mids[j].
+    Each pair's distance order flips only at its midpoint, so the ranking
+    is constant on every open cell; this takes at most 2*C(m,2)+1 distance
+    sorts.  `_element_1d` finds the element holding a point, and an interval
+    covers the run of elements between those holding its ends.
     """
     points = set()
     for a, b in itertools.combinations(candidates, 2):
@@ -92,20 +95,51 @@ def _line_arrangement(
     mids = tuple(sorted(points))
     inside = [(a + b) / 2 for a, b in zip(mids, mids[1:])]
     cell_points = [mids[0] - 1, *inside, mids[-1] + 1] if mids else [Fraction(0)]
-    at_mids = tuple(rank_from_point((x,), candidates) for x in mids)
-    cells = tuple(rank_from_point((x,), candidates) for x in cell_points)
-    return mids, at_mids, cells
+    probes = [x for pair in zip(cell_points, mids) for x in pair] + [cell_points[-1]]
+    return mids, tuple(rank_from_point((x,), candidates) for x in probes)
+
+
+def _element_1d(mids: Sequence[Fraction], x: Fraction) -> int:
+    """The index of the `_line_arrangement` element holding x: with
+    j = bisect_left(mids, x), the tie point 2j+1 when mids[j] == x and the
+    open cell 2j otherwise."""
+    j = bisect_left(mids, x)
+    return 2 * j + (j < len(mids) and mids[j] == x)
+
+
+def _run_1d(
+    candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
+) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...], int, int]:
+    """The candidates' arrangement and the first and last elements that
+    the interval [lo, hi] covers."""
+    lo, hi = interval
+    if lo > hi:
+        raise ValueError("interval lower bound exceeds upper bound")
+    mids, rankings = _line_arrangement(tuple(candidates))
+    return mids, rankings, _element_1d(mids, lo), _element_1d(mids, hi)
+
+
+def arrangement_run_1d(
+    candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
+) -> tuple[Ranking, ...]:
+    """The rankings of the run of arrangement elements that [lo, hi]
+    covers, in order along the line; a ranking can repeat.
+
+    Every ranking of a point in the interval is here and nothing else, so
+    the run's ranking set is the box's completion set, found with two
+    bisections and one slice, without witnesses.
+    """
+    _, rankings, first, last = _run_1d(candidates, interval)
+    return rankings[first : last + 1]
 
 
 def tie_points_1d(
     candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
 ) -> list[Fraction]:
-    """All points of [lo, hi] equidistant from two or more candidates."""
-    lo, hi = interval
-    if lo > hi:
-        raise ValueError("interval lower bound exceeds upper bound")
-    mids = _line_arrangement(tuple(candidates))[0]
-    return list(mids[bisect_left(mids, lo) : bisect_right(mids, hi)])
+    """All points of [lo, hi] equidistant from two or more candidates: the
+    tie points of the interval's run."""
+    mids, _, first, last = _run_1d(candidates, interval)
+    return list(mids[first // 2 : (last + 1) // 2])
 
 
 def enumerate_rankings_1d(
@@ -115,10 +149,10 @@ def enumerate_rankings_1d(
 
     Probes every tie point and every midpoint between consecutive
     breakpoints, in order, and keeps the first witness of each ranking; at
-    most C(m,2)+1 distinct rankings come back.  A probe's ranking is looked
-    up in the candidates' shared `_line_arrangement`: with
-    j = bisect_left(mids, x), it is the tie ranking j when mids[j] == x and
-    the ranking of open cell j otherwise.
+    most C(m,2)+1 distinct rankings come back.  A probe's ranking is that of
+    its element (`_element_1d`) in the candidates' shared `_line_arrangement`,
+    so the ranking set is that of `arrangement_run_1d`; the probes are
+    there for the witnesses.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     breaks = sorted({lo, hi} | set(tie_points_1d(candidates, (lo, hi))))
@@ -127,12 +161,11 @@ def enumerate_rankings_1d(
         probes.append(a)
         probes.append((a + b) / 2)
     probes.append(breaks[-1])
-    mids, at_mids, cells = _line_arrangement(tuple(candidates))
+    mids, rankings = _line_arrangement(tuple(candidates))
     out: list[RankingWithWitness] = []
     seen: set[Ranking] = set()
     for x in probes:
-        j = bisect_left(mids, x)
-        r = at_mids[j] if j < len(mids) and mids[j] == x else cells[j]
+        r = rankings[_element_1d(mids, x)]
         if r not in seen:
             seen.add(r)
             out.append(RankingWithWitness(r, (x,)))

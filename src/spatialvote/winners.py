@@ -14,6 +14,11 @@ in one dimension, all two-valued rules (equal-length scheduling over the
 approval windows), weighted veto rules (an intersection of those windows)
 and the three-valued rules F(k, t) with k > t.  Everything else falls back,
 behind an explicit opt-in flag, to one exhaustive oracle pass.
+
+In one dimension the approval windows, and the two-valued NW types built
+from them, are read off each box's run of the shared line arrangement
+(`geometry.arrangement_run_1d`), so those routes enumerate no completion;
+the 1D flows and NW under the other rules read `ranking_completions`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     SelfCheckFailed,
     UnknownCandidate,
 )
-from .geometry import place_sets, ranking_completions
+from .geometry import arrangement_run_1d, place_sets, ranking_completions
 from .model import (
     PartialSpatialProfile,
     ScoringRule,
@@ -95,8 +100,16 @@ def _voter_types(
 
     Under plurality and veto a vector is fixed by its first or last place,
     so the types come from the place sets (`_place_types`), which in d >= 2
-    never enumerate completions.  Under every other rule each distinct box's
-    completions are scored once.
+    never enumerate completions.  Under the other two-valued rules in d = 1,
+    1^k 0^(m-k) with 2 <= k <= m-2 in canonical form, a vector is fixed by
+    its top-k set, and the types come from the approval windows: a box with
+    window (lo, hi) contributes exactly the blocks [s, s+k-1] for
+    s = lo .. hi-k+1.  This is the one-step block lemma: positions strictly
+    increase, so p_s + p_{s+k} < p_{s+1} + p_{s+k+1}; as the ideal point
+    moves right the top-k block moves one candidate at a time, at the
+    midpoint of p_s and p_{s+k}, where index tie-breaking keeps the left
+    block, so a box's top-k sets are every block between those of its ends.
+    Under every other rule each distinct box's completions are scored once.
     """
     m = len(vec)
     canon = canonical_vector(vec)
@@ -106,6 +119,14 @@ def _voter_types(
         return Counter({
             frozenset(tuple(placed if q == p else other for q in range(m)) for p in places): n
             for places, n in _place_types(profile, last).items()
+        })
+    if profile.dimension == 1 and set(canon) == {0, 1}:
+        k = canon.count(1)
+        return Counter({
+            frozenset(
+                tuple(vec[0] if s <= q < s + k else vec[-1] for q in range(m)) for s in range(lo, hi - k + 2)
+            ): n
+            for (lo, hi), n in approval_windows_1d(profile, k).items()
         })
 
     def scores(bounds: tuple) -> frozenset[tuple[int, ...]]:
@@ -129,7 +150,13 @@ def _voter_types(
 
 def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> Counter[tuple[int, int]]:
     """The voters counted by the window (lo, hi) of consecutive candidates
-    (indices into the sorted order) that their box's top-k sets draw from."""
+    (indices into the sorted order) that their box's top-k sets draw from.
+
+    Each distinct box's window is read off its run of the shared line
+    arrangement (`_window`), so no completion is enumerated.  By the
+    one-step block lemma (`_voter_types`) the box's top-k sets are exactly
+    the blocks of k consecutive candidates inside its window.
+    """
     _require_1d(profile)
     m = profile.num_candidates
     if not 1 <= k <= m - 1:
@@ -139,12 +166,19 @@ def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> Counter[tuple
 
 def _window(candidates: Sequence, k: int, bounds: tuple, admissible=lambda ranking: True) -> tuple[int, int] | None:
     """The window of the top-k sets of the box's admissible completions, or
-    None if it has none."""
+    None if it has none.
+
+    The completions are the rankings of the 1D box's run of the shared line
+    arrangement (`geometry.arrangement_run_1d`): two bisections and a slice
+    per box, with no witness built.  The window is consecutive by the
+    one-step block lemma (`_voter_types`), and under an admissible filter by
+    the interval argument of `pw_fkt_1d`; a window that is not raises.
+    """
     approved = {
         cand
-        for rw in ranking_completions(candidates, bounds)
-        if admissible(rw.ranking)
-        for cand in rw.ranking[:k]
+        for ranking in arrangement_run_1d(candidates, bounds[0])
+        if admissible(ranking)
+        for cand in ranking[:k]
     }
     if not approved:
         return None

@@ -28,7 +28,7 @@ from spatialvote import (
     specify_faces,
 )
 from spatialvote.errors import DimensionMismatch
-from spatialvote.geometry import box_inequalities, place_sets, tie_points_1d
+from spatialvote.geometry import arrangement_run_1d, box_inequalities, place_sets, tie_points_1d
 from spatialvote.scheduling import reduce_scheduling_to_pw
 
 SCHEDULING = os.path.join(os.path.dirname(__file__), "..", "instances", "two_jobs_one_machine.json")
@@ -119,14 +119,20 @@ def line_instance(draw):
 
 def assert_same_as_reference(candidates, interval):
     got = enumerate_rankings_1d(candidates, interval)
-    assert got == reference_enumerate_rankings_1d(candidates, interval)
+    reference = reference_enumerate_rankings_1d(candidates, interval)
+    assert got == reference
     assert all(type(rw.witness[0]) is Fraction for rw in got)
     assert tie_points_1d(candidates, interval) == reference_tie_points_1d(candidates, interval)
+    # the interval's run of the arrangement holds exactly the completions
+    run = set(arrangement_run_1d(candidates, interval))
+    assert run == {rw.ranking for rw in ranking_completions(tuple(candidates), (interval,))}
+    assert run == {rw.ranking for rw in reference}
 
 
 class TestSharedArrangement:
     """`enumerate_rankings_1d` looks probes up in one arrangement per candidate
-    tuple; it must return exactly what a distance sort at every probe does."""
+    tuple; it must return exactly what a distance sort at every probe does,
+    and `arrangement_run_1d` the same ranking set from two bisections."""
 
     @settings(max_examples=400, deadline=None)
     @given(line_instance())
@@ -140,6 +146,10 @@ class TestSharedArrangement:
             ((0, 4, 2, 6), (Fraction(5, 2), 3)),
             ((0, 4, 2, 6), (3, Fraction(7, 2))),
             ((0, 4, 2, 6), (-10, 10)),
+            ((0, 4, 2, 6), (1, 5)),  # both ends on the outermost tie points
+            ((0, 4, 2, 6), (-5, -1)),  # left of the first midpoint
+            ((0, 4, 2, 6), (6, 9)),  # right of the last midpoint
+            ((0, 4, 2, 6), (5, 5)),
             ((2, 2, 0), (0, 2)),
             ((2, 2, 0), (1, 1)),
             ((5, 5, 5), (-1, 9)),

@@ -30,9 +30,10 @@ from spatialvote import (
 )
 from spatialvote import geometry, oracle, winners
 from spatialvote.cli import generate_election
-from spatialvote.errors import DimensionMismatch
+from spatialvote.errors import DimensionMismatch, SelfCheckFailed
 from spatialvote.geometry import ranking_completions, tie_points_1d
-from spatialvote.winners import _FlowNetwork, approval_windows_1d
+from spatialvote.model import realize_score_vector
+from spatialvote.winners import _FlowNetwork, _voter_types, _window, approval_windows_1d
 
 
 def line_profile(positions, boxes):
@@ -44,6 +45,39 @@ def line_profile(positions, boxes):
 
 
 REFERENCE = line_profile([1, 2, 3], [(1, 3)])
+
+
+def completion_window(candidates, k, bounds, admissible):
+    """`winners._window` read from the completions: the consecutive window of
+    the admissible top-k sets, None without any, "gap" if not consecutive."""
+    approved = {
+        cand for rw in ranking_completions(candidates, bounds) if admissible(rw.ranking) for cand in rw.ranking[:k]
+    }
+    if not approved:
+        return None
+    lo, hi = min(approved), max(approved)
+    return (lo, hi) if len(approved) == hi - lo + 1 else "gap"
+
+
+def run_window(candidates, k, bounds, admissible):
+    try:
+        return _window(candidates, k, bounds, admissible)
+    except SelfCheckFailed:
+        return "gap"
+
+
+def completion_types(profile, vec):
+    """`winners._voter_types`' general branch: each box's completions scored."""
+    types = Counter()
+    for voter in profile.voters:
+        scores = set()
+        for rw in ranking_completions(profile.candidates, voter.bounds):
+            score = [0] * len(vec)
+            for pos, cand in enumerate(rw.ranking):
+                score[cand] = vec[pos]
+            scores.add(tuple(score))
+        types[frozenset(scores)] += 1
+    return types
 
 
 def many_voters_on_few_boxes(rng, dimension, m=5, n=60, num_boxes=4):
@@ -74,6 +108,39 @@ class TestApprovalWindows:
         )
         with pytest.raises(DimensionMismatch):
             approval_windows_1d(profile, 1)
+
+    def test_run_window_matches_completion_window(self):
+        """On 400 seeded boxes (ends on tie points, point boxes, boxes past
+        the outermost midpoint, sorted and shuffled candidates), the window
+        read off the arrangement run equals the one read off the completions
+        for every k, unfiltered and under every F(k, t) admissible filter."""
+        rng = random.Random(2301)
+        outcomes, kinds = Counter(), Counter()
+        for _ in range(100):
+            m = rng.randint(2, 6)
+            profile = random_profile_1d(rng, m, 2, span=6)
+            candidates = list(profile.candidates)
+            if rng.random() < 0.5:
+                rng.shuffle(candidates)
+            candidates = tuple(candidates)
+            ties = tie_points_1d(candidates, (Fraction(-6), Fraction(6)))
+            tie, x = rng.choice(ties), Fraction(rng.randint(-40, 40), 4)
+            boxes = [v.bounds for v in profile.voters] + [((tie, tie),), ((min(tie, x), max(tie, x)),)]
+            filters = [lambda ranking: True] + [
+                partial(lambda c, t, ranking: ranking.index(c) < m - t, c, t) for c in range(m) for t in range(1, m)
+            ]
+            for bounds in boxes:
+                ((lo, hi),) = bounds
+                kinds["point"] += lo == hi
+                kinds["beyond"] += hi < ties[0] or lo > ties[-1]
+                kinds["shuffled"] += candidates != profile.candidates
+                for k in range(1, m):
+                    for admissible in filters:
+                        got = run_window(candidates, k, bounds, admissible)
+                        assert got == completion_window(candidates, k, bounds, admissible)
+                        outcomes[got if got in (None, "gap") else "window"] += 1
+        assert set(outcomes) == {None, "gap", "window"}
+        assert min(kinds.values()) > 0
 
 
 class TestTwoValued1D:
@@ -334,11 +401,47 @@ class TestNecessaryWinner:
             return ranking_completions(candidates, bounds)
 
         monkeypatch.setattr(winners, "ranking_completions", counting)
+        runs = []
+
+        def counting_runs(candidates, interval):
+            runs.append(interval)
+            return geometry.arrangement_run_1d(candidates, interval)
+
+        monkeypatch.setattr(winners, "arrangement_run_1d", counting_runs)
         profile = many_voters_on_few_boxes(random.Random(1805), 1)
         boxes = {v.bounds for v in profile.voters}
         borda = ScoringRule.borda()
         assert necessary_winner(profile, borda, range(5)) == brute_nw(profile, borda, 10**100)
         assert len(profile.voters) > len(boxes) == len(lookups) == len(set(lookups))
+        assert not runs
+        # two-valued rules read their windows off the arrangement runs
+        for rule in (ScoringRule.k_approval(3), ScoringRule.k_veto(2)):
+            lookups.clear()
+            runs.clear()
+            assert necessary_winner(profile, rule, range(5)) == brute_nw(profile, rule, 10**100)
+            assert not lookups
+            assert len(runs) == len(boxes)
+
+    @pytest.mark.parametrize("kind", ["approval", "kveto"])
+    def test_two_valued_types_from_windows(self, kind):
+        """For every valid k, the 1D voter types built from the approval
+        windows equal the completion-scored types, and NW equals `brute_nw`."""
+        rng = random.Random(2302)
+        verdicts = set()
+        for trial in range(40):
+            m = rng.randint(3, 7)
+            if trial % 2:
+                profile = many_voters_on_few_boxes(rng, 1, m=m, n=rng.randint(2, 30), num_boxes=rng.randint(1, 4))
+            else:
+                profile = random_profile_1d(rng, m, rng.randint(1, 4))
+            for k in range(1, m):
+                rule = ScoringRule.k_approval(k) if kind == "approval" else ScoringRule.k_veto(k)
+                vec = realize_score_vector(rule, m)
+                assert _voter_types(profile, vec) == completion_types(profile, vec)
+                nw = necessary_winner(profile, rule, range(m))
+                assert nw == brute_nw(profile, rule, 10**100)
+                verdicts.add(bool(nw))
+        assert verdicts == {False, True}
 
 
 class TestDispatch:
@@ -414,23 +517,34 @@ class TestDispatch:
         ],
     )
     def test_one_completion_lookup_per_distinct_box(self, monkeypatch, rule, route):
-        lookups = []
+        """The 1D flows look each distinct box's completions up once.  The
+        window routes enumerate no completion: they read each distinct box's
+        arrangement run once, and F(k, t) at most once more per edge
+        candidate."""
+        lookups, runs = [], []
 
         def counting(candidates, bounds):
             lookups.append(bounds)
             return ranking_completions(candidates, bounds)
 
+        def counting_runs(candidates, interval):
+            runs.append(interval)
+            return geometry.arrangement_run_1d(candidates, interval)
+
         monkeypatch.setattr(winners, "ranking_completions", counting)
+        monkeypatch.setattr(winners, "arrangement_run_1d", counting_runs)
         profile = many_voters_on_few_boxes(random.Random(73), 1)
         boxes = len({v.bounds for v in profile.voters})
         assert len(profile.voters) > boxes
         rule = rule_from_text(rule)
         assert route_for(profile, rule) == route
         assert possible_winner(profile, rule, range(5)) == brute_pw(profile, rule, 10**100)
-        if route == "fkt-1d":
-            assert 0 < len(lookups) <= boxes * (1 + 2 * rule.t)
+        if route in ("plurality-flow", "veto-flow"):
+            assert len(lookups) == boxes and not runs
+        elif route == "fkt-1d":
+            assert not lookups and 0 < len(runs) <= boxes * (1 + 2 * rule.t)
         else:
-            assert len(lookups) == boxes
+            assert not lookups and len(runs) == boxes
 
     @pytest.mark.parametrize("rule", [ScoringRule.plurality(), ScoringRule.veto()], ids=["plurality", "veto"])
     def test_one_place_set_per_distinct_box_2d(self, monkeypatch, rule):
