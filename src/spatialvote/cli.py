@@ -7,23 +7,24 @@ passes through binary floats; plain JSON integers are accepted on input and
 normalized on output.  Output is deterministic: keys sorted, candidate sets
 sorted by id, identical invocations byte-identical.
 
-Exit codes: 0 success, 1 structured diagnostic (bad input, undefined rule,
-no polynomial algorithm without --allow-exponential), 2 guard violation.
+Exit codes: 0 success (also for -h/--help), 1 structured diagnostic (usage
+error, bad input, undefined rule, no polynomial algorithm without
+--allow-exponential), 2 guard violation.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import re
 import sys
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Any, Iterable, Optional, Sequence
 
 from . import oracle
-from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError
+from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError, UsageError
 from .geometry import bisectors, ranking_completions, specify_faces
 from .model import Candidate, PartialSpatialProfile, VoterBox, rule_from_text, rule_to_text
 from .scheduling import Job, SchedulingInstance, reduce_scheduling_to_pw
@@ -277,16 +278,16 @@ def cmd_rankings(args) -> int:
         voters = tuple(v for v in voters if v.id == args.voter)
         if not voters:
             raise InvalidInstance(f"no voter with id {args.voter!r}")
-    payload = {"rankings": {}}
-    lines = []
+    rankings = {}
     for voter in voters:
-        entries = []
-        for rw in ranking_completions(profile.candidates, voter.bounds):
-            ids = [profile.candidates[i].id for i in rw.ranking]
-            entries.append({"ranking": ids, "witness": [str(x) for x in rw.witness]})
-            lines.append(f"{voter.id}: {' > '.join(ids)}  (at {', '.join(str(x) for x in rw.witness)})")
-        payload["rankings"][voter.id] = entries
-    _emit(args, payload, lines)
+        rankings[voter.id] = [
+            {"ranking": [profile.candidates[i].id for i in rw.ranking], "witness": [str(x) for x in rw.witness]}
+            for rw in ranking_completions(profile.candidates, voter.bounds)
+        ]
+    lines = [] if args.format == "json" else [  # text only: in JSON mode they would be thrown away
+        f"{vid}: {' > '.join(e['ranking'])}  (at {', '.join(e['witness'])})" for vid, es in rankings.items() for e in es
+    ]
+    _emit(args, {"rankings": rankings}, lines)
     return 0
 
 
@@ -307,10 +308,8 @@ def cmd_nw(args) -> int:
 
 
 def cmd_pw(args) -> int:
-    return _membership_command(
-        args,
-        partial(possible_winner, allow_exponential=args.allow_exponential, guard=_guard_value(args)),
-    )
+    guard = _guard_value(args)
+    return _membership_command(args, partial(possible_winner, allow_exponential=args.allow_exponential, guard=guard))
 
 
 def cmd_oracle(args) -> int:
@@ -324,9 +323,7 @@ def cmd_oracle(args) -> int:
 def cmd_reduce_sched(args) -> int:
     instance = _load(args.instance, "scheduling")
     profile, target, rule = reduce_scheduling_to_pw(instance, args.k)
-    doc = election_to_document(profile)
-    doc["target_candidate"] = target
-    doc["rule"] = rule_to_text(rule)
+    doc = {**election_to_document(profile), "target_candidate": target, "rule": rule_to_text(rule)}
     sys.stdout.write(serialize(doc))
     return 0
 
@@ -362,67 +359,81 @@ def _guard_value(args) -> int:
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+# An option is (flag, kind, default, help): kind is str, int, a tuple of
+# choices, or bool for a flag without a value; a default of ... makes it
+# required.  `which` is a positional, the rest are flags; no abbreviation is
+# accepted.  A command is (handler, help, options).
+_INSTANCE = ("--instance", str, ..., "path to an instance JSON document")
+_RULE = ("--rule", str, ..., "rule descriptor, e.g. plurality, approval:2, fkt:2:1")
+_CANDIDATE = ("--candidate", str, None, "restrict to a membership verdict for this candidate id")
+_GUARD = ("--guard", int, oracle.DEFAULT_GUARD, "oracle work guard per voter step")
+_FORMAT = ("--format", ("json", "text"), "text", "output format")
+COMMANDS = {
+    "rankings": (cmd_rankings, "ranking completions per voter, with witnesses",
+                 (_INSTANCE, ("--voter", str, None, "restrict to one voter id"), _FORMAT)),
+    "nw": (cmd_nw, "necessary winners", (_INSTANCE, _RULE, _CANDIDATE, _FORMAT)),
+    "pw": (cmd_pw, "possible winners", (_INSTANCE, _RULE, _CANDIDATE, _GUARD, _FORMAT, (
+        "--allow-exponential", bool, False, "fall back to the oracle when no polynomial algorithm applies"))),
+    "oracle": (cmd_oracle, "exact brute-force possible/necessary winner sets", (
+        ("which", ("pw", "nw"), ..., "the possible or the necessary winners"), _INSTANCE, _RULE, _GUARD, _FORMAT)),
+    "reduce-sched": (cmd_reduce_sched, "translate a scheduling instance to a possible-winner instance", (
+        ("--instance", str, ..., "path to a scheduling JSON document"),
+        ("--k", int, ..., "approval count (jobs must have lengths k-1 or k)"))),
+    "gen": (cmd_gen, "generate a random instance (deterministic per seed)", (
+        ("--seed", int, ..., "random seed"), ("--kind", ("election", "scheduling"), "election", "document kind"),
+        ("--dimension", int, 1, "election dimension"), ("--num-candidates", int, 3, "election candidates"),
+        ("--num-voters", int, 3, "election voters"), ("--coord-range", int, 8, "election coordinate bound"),
+        ("--num-jobs", int, 3, "scheduling jobs"), ("--machines", int, 1, "scheduling machines"),
+        ("--horizon", int, 10, "scheduling horizon"))),
+    "faces": (cmd_faces, "size of the bisector arrangement of an instance", (_INSTANCE, _FORMAT)),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spatialvote",
-        description="Possible and necessary winners for spatial elections with box uncertainty.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rule=False, candidate=False, guard=False):
-        p.add_argument("--instance", required=True, help="path to an instance JSON document")
-        if rule:
-            p.add_argument("--rule", required=True, help="rule descriptor, e.g. plurality, approval:2, fkt:2:1")
-        if candidate:
-            p.add_argument("--candidate", help="restrict to a membership verdict for this candidate id")
-        if guard:
-            p.add_argument(
-                "--guard", type=int, default=oracle.DEFAULT_GUARD, help="oracle work guard per voter step (default 10^6)"
-            )
-        p.add_argument("--format", choices=("json", "text"), default="text")
+def _usage(args) -> int:
+    lines = [f"usage: spatialvote {args.command or 'COMMAND'} [OPTION ...]"]
+    if args.command is None:
+        lines += [f"  {name:14s}{help}" for name, (_, help, _) in COMMANDS.items()]
+    else:
+        for flag, kind, default, text in COMMANDS[args.command][2]:
+            value = "" if kind is bool else f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {flag[2:].upper()}"
+            note = " (required)" if default is ... else "" if default in (None, False) else f" (default {default})"
+            lines.append(f"  {flag + value:24s}  {text}{note}")
+    print("\n".join(lines))
+    return 0
 
-    p = sub.add_parser("rankings", help="ranking completions per voter, with witnesses")
-    common(p)
-    p.add_argument("--voter", help="restrict to one voter id")
-    p.set_defaults(fn=cmd_rankings)
 
-    p = sub.add_parser("nw", help="necessary winners")
-    common(p, rule=True, candidate=True)
-    p.set_defaults(fn=cmd_nw)
-
-    p = sub.add_parser("pw", help="possible winners")
-    common(p, rule=True, candidate=True, guard=True)
-    p.add_argument("--allow-exponential", action="store_true", help="fall back to the oracle when no polynomial algorithm applies")
-    p.set_defaults(fn=cmd_pw)
-
-    p = sub.add_parser("oracle", help="exact brute-force possible/necessary winner sets")
-    p.add_argument("which", choices=("pw", "nw"))
-    common(p, rule=True, guard=True)
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("reduce-sched", help="translate a scheduling instance to a possible-winner instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--k", type=int, required=True, help="approval count (jobs must have lengths k-1 or k)")
-    p.set_defaults(fn=cmd_reduce_sched)
-
-    p = sub.add_parser("gen", help="generate a random instance (deterministic per seed)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--kind", choices=("election", "scheduling"), default="election")
-    p.add_argument("--dimension", type=int, default=1)
-    p.add_argument("--num-candidates", type=int, default=3)
-    p.add_argument("--num-voters", type=int, default=3)
-    p.add_argument("--coord-range", type=int, default=8)
-    p.add_argument("--num-jobs", type=int, default=3)
-    p.add_argument("--machines", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=10)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("faces", help="size of the bisector arrangement of an instance")
-    common(p)
-    p.set_defaults(fn=cmd_faces)
-
-    return parser
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """`args.fn`, the command's handler (`_usage` under -h/--help), and
+    `args.<flag>` for each option, with dashes as underscores."""
+    command = argv[0] if argv else None
+    if {"-h", "--help"} & set(argv):  # anywhere, as with argparse
+        return SimpleNamespace(fn=_usage, command=command if command in COMMANDS else None)
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}; got {' '.join(argv[:1]) or 'none'}")
+    fn, _, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag: default for flag, _, default, _ in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if not token.startswith("-"):  # the positional `which`, given once
+            flag, eq, text = ("which" if values.get("which") is ... else None), "=", token
+        kind = kinds.get(flag)
+        if kind is None or (kind is bool and eq):
+            raise UsageError(f"{command}: unexpected {token!r}")
+        if kind is not bool and not eq:
+            text = next(tokens, "--")
+            if text.startswith("--"):
+                raise UsageError(f"{command}: {flag} needs a value")
+        try:  # tuple.index and int() raise ValueError on a bad value
+            values[flag] = True if kind is bool else kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+        except ValueError:
+            wanted = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else "an integer"
+            raise UsageError(f"{command}: {flag} needs {wanted}, got {text!r}") from None
+    missing = [flag for flag, value in values.items() if value is ...]
+    if missing:
+        raise UsageError(f"{command}: missing {', '.join(missing)}")
+    return SimpleNamespace(fn=fn, **{flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()})
 
 
 def _diagnostic(exc: Exception) -> str:
@@ -430,9 +441,8 @@ def _diagnostic(exc: Exception) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except InstanceTooLarge as exc:
         sys.stderr.write(_diagnostic(exc))

@@ -50,5 +50,9 @@ class InvalidInstance(SpatialVoteError):
     """An instance document failed to parse or validate."""
 
 
+class UsageError(SpatialVoteError):
+    """The command line names no command, or an unknown, missing or malformed argument."""
+
+
 class SelfCheckFailed(SpatialVoteError):
     """An internal consistency check failed; this indicates a bug in the package."""

@@ -15,10 +15,11 @@ approval windows), weighted veto rules (an intersection of those windows)
 and the three-valued rules F(k, t) with k > t.  Everything else falls back,
 behind an explicit opt-in flag, to one exhaustive oracle pass.
 
-In one dimension the approval windows, and the two-valued NW types built
-from them, are read off each box's run of the shared line arrangement
-(`geometry.arrangement_run_1d`), so those routes enumerate no completion;
-the 1D flows and NW under the other rules read `ranking_completions`.
+In one dimension the approval windows, and the NW types under every rule
+but plurality and veto, are read off each box's run of the shared line
+arrangement (`geometry.arrangement_run_1d`), so those routes enumerate no
+completion; the 1D plurality and veto place sets, which serve both their
+flows and their NW types, read `ranking_completions`.
 """
 
 from __future__ import annotations
@@ -100,16 +101,10 @@ def _voter_types(
 
     Under plurality and veto a vector is fixed by its first or last place,
     so the types come from the place sets (`_place_types`), which in d >= 2
-    never enumerate completions.  Under the other two-valued rules in d = 1,
-    1^k 0^(m-k) with 2 <= k <= m-2 in canonical form, a vector is fixed by
-    its top-k set, and the types come from the approval windows: a box with
-    window (lo, hi) contributes exactly the blocks [s, s+k-1] for
-    s = lo .. hi-k+1.  This is the one-step block lemma: positions strictly
-    increase, so p_s + p_{s+k} < p_{s+1} + p_{s+k+1}; as the ideal point
-    moves right the top-k block moves one candidate at a time, at the
-    midpoint of p_s and p_{s+k}, where index tie-breaking keeps the left
-    block, so a box's top-k sets are every block between those of its ends.
-    Under every other rule each distinct box's completions are scored once.
+    never enumerate completions.  Under every other rule each distinct box's
+    rankings are scored once: in d = 1 those of its run of the shared line
+    arrangement (`geometry.arrangement_run_1d`, two bisections and no
+    witness), in d >= 2 its completions.
     """
     m = len(vec)
     canon = canonical_vector(vec)
@@ -120,20 +115,16 @@ def _voter_types(
             frozenset(tuple(placed if q == p else other for q in range(m)) for p in places): n
             for places, n in _place_types(profile, last).items()
         })
-    if profile.dimension == 1 and set(canon) == {0, 1}:
-        k = canon.count(1)
-        return Counter({
-            frozenset(
-                tuple(vec[0] if s <= q < s + k else vec[-1] for q in range(m)) for s in range(lo, hi - k + 2)
-            ): n
-            for (lo, hi), n in approval_windows_1d(profile, k).items()
-        })
 
     def scores(bounds: tuple) -> frozenset[tuple[int, ...]]:
+        if profile.dimension == 1:
+            rankings = arrangement_run_1d(profile.candidates, bounds[0])
+        else:
+            rankings = [rw.ranking for rw in ranking_completions(profile.candidates, bounds)]
         vectors = set()
-        for rw in ranking_completions(profile.candidates, bounds):
+        for ranking in rankings:
             score = [0] * m
-            for pos, cand in enumerate(rw.ranking):
+            for pos, cand in enumerate(ranking):
                 score[cand] = vec[pos]
             vectors.add(tuple(score))
         if not vectors:
@@ -153,9 +144,13 @@ def approval_windows_1d(profile: PartialSpatialProfile, k: int) -> Counter[tuple
     (indices into the sorted order) that their box's top-k sets draw from.
 
     Each distinct box's window is read off its run of the shared line
-    arrangement (`_window`), so no completion is enumerated.  By the
-    one-step block lemma (`_voter_types`) the box's top-k sets are exactly
-    the blocks of k consecutive candidates inside its window.
+    arrangement (`_window`), so no completion is enumerated.  The box's
+    top-k sets are exactly the blocks of k consecutive candidates inside
+    its window, by the one-step block lemma: positions strictly increase,
+    so p_s + p_{s+k} < p_{s+1} + p_{s+k+1}; as the ideal point moves right
+    the top-k block moves one candidate at a time, at the midpoint of p_s
+    and p_{s+k}, where index tie-breaking keeps the left block, so a box's
+    top-k sets are every block between those of its ends.
     """
     _require_1d(profile)
     m = profile.num_candidates
@@ -171,8 +166,9 @@ def _window(candidates: Sequence, k: int, bounds: tuple, admissible=lambda ranki
     The completions are the rankings of the 1D box's run of the shared line
     arrangement (`geometry.arrangement_run_1d`): two bisections and a slice
     per box, with no witness built.  The window is consecutive by the
-    one-step block lemma (`_voter_types`), and under an admissible filter by
-    the interval argument of `pw_fkt_1d`; a window that is not raises.
+    one-step block lemma (`approval_windows_1d`), and under an admissible
+    filter by the interval argument of `pw_fkt_1d`; a window that is not
+    raises.
     """
     approved = {
         cand

@@ -378,6 +378,58 @@ class TestExitCodes:
         assert error["type"] == "ValueError"
         assert "randrange" not in error["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--rule", "plurality"], id="flag before the command"),
+            pytest.param(["vote"], id="unknown command"),
+            pytest.param(["pw", "--rule", "plurality", "--verbose"], id="unknown flag"),
+            pytest.param(["pw", "--rul", "plurality"], id="abbreviated flag"),
+            pytest.param(["pw"], id="missing required flag"),
+            pytest.param(["pw", "--rule"], id="flag without value at the end"),
+            pytest.param(["pw", "--candidate", "--rule", "plurality"], id="flag without value"),
+            pytest.param(["pw", "--rule", "plurality", "--format", "xml"], id="bad choice"),
+            pytest.param(["pw", "--rule", "plurality", "--allow-exponential=yes"], id="value for a flag"),
+            pytest.param(["oracle", "pw", "--rule", "plurality", "--guard", "1e6"], id="non-integer guard"),
+            pytest.param(["oracle", "pw", "--rule", "plurality", "--guard="], id="empty guard"),
+            pytest.param(["oracle", "--rule", "plurality"], id="oracle without pw|nw"),
+            pytest.param(["oracle", "both", "--rule", "plurality"], id="oracle with a bad positional"),
+            pytest.param(["oracle", "pw", "nw", "--rule", "plurality"], id="oracle with two positionals"),
+            pytest.param(["nw", "pw", "--rule", "plurality"], id="positional for nw"),
+        ],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--instance", ELECTION)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([], id="no command"),
+            pytest.param(["reduce-sched", "--instance", SCHEDULING, "--k", "three"], id="non-integer k"),
+            pytest.param(["gen", "--seed", "1.5"], id="non-integer seed"),
+            pytest.param(["gen", "--seed", "1", "--kind", "graph"], id="bad kind"),
+        ],
+    )
+    def test_usage_errors_without_an_instance_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_flag_equals_value(self, capsys):
+        spaced = run(capsys, "oracle", "pw", "--instance", ELECTION, "--rule", "veto", "--format", "json")
+        joined = run(capsys, "oracle", f"--instance={ELECTION}", "--rule=veto", "pw", "--format=json")
+        assert spaced == joined and spaced[0] == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["pw", "--help"], ["oracle", "-h"], ["gen", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: spatialvote {argv[0] if len(argv) > 1 else 'COMMAND'} ")
+        if argv[0] == "pw":
+            assert "--allow-exponential" in out and "--instance INSTANCE" in out
+
     @pytest.mark.parametrize("command", ["pw", "nw"])
     def test_unknown_candidate(self, capsys, command):
         code, out, err = run(
@@ -476,8 +528,9 @@ def test_mutated_documents_never_raise(capsys, tmp_path):
 
 def test_cli_start_up_avoids_heavy_imports():
     # Each query is a fresh process, so every module the CLI imports is paid
-    # for on every query; these come with `dataclasses` and cost ~10 ms.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # for on every query; the first five come with `dataclasses` and cost
+    # ~10 ms, and `argparse` with `gettext` costs 2-3 ms.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext")
     script = f"import spatialvote.cli, sys; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     src = os.path.join(HERE, "..", "src")
     env = dict(os.environ)

@@ -67,7 +67,8 @@ def run_window(candidates, k, bounds, admissible):
 
 
 def completion_types(profile, vec):
-    """`winners._voter_types`' general branch: each box's completions scored."""
+    """The voter types of `winners._voter_types`, with each voter's
+    completions scored."""
     types = Counter()
     for voter in profile.voters:
         scores = set()
@@ -394,54 +395,74 @@ class TestNecessaryWinner:
         assert digest == "44c34cb95ebf5bebb4a17ceef53a1dde3ffb5a9ea0b2fb9824a480b75b0770d2"
 
     def test_one_completion_lookup_per_distinct_box(self, monkeypatch):
-        lookups = []
+        """In d = 1, NW under Borda and the two-valued rules reads each
+        distinct box's arrangement run once and enumerates no completion; in
+        d = 2 it looks each distinct box's completions up once."""
+        lookups, runs = [], []
 
         def counting(candidates, bounds):
             lookups.append(bounds)
             return ranking_completions(candidates, bounds)
 
-        monkeypatch.setattr(winners, "ranking_completions", counting)
-        runs = []
-
         def counting_runs(candidates, interval):
             runs.append(interval)
             return geometry.arrangement_run_1d(candidates, interval)
 
+        monkeypatch.setattr(winners, "ranking_completions", counting)
         monkeypatch.setattr(winners, "arrangement_run_1d", counting_runs)
         profile = many_voters_on_few_boxes(random.Random(1805), 1)
         boxes = {v.bounds for v in profile.voters}
-        borda = ScoringRule.borda()
-        assert necessary_winner(profile, borda, range(5)) == brute_nw(profile, borda, 10**100)
-        assert len(profile.voters) > len(boxes) == len(lookups) == len(set(lookups))
-        assert not runs
-        # two-valued rules read their windows off the arrangement runs
-        for rule in (ScoringRule.k_approval(3), ScoringRule.k_veto(2)):
+        assert len(profile.voters) > len(boxes)
+        for rule in (ScoringRule.borda(), ScoringRule.k_approval(3), ScoringRule.k_veto(2)):
             lookups.clear()
             runs.clear()
             assert necessary_winner(profile, rule, range(5)) == brute_nw(profile, rule, 10**100)
             assert not lookups
-            assert len(runs) == len(boxes)
+            assert sorted(runs) == sorted(bounds[0] for bounds in boxes)
+        # 20 voters keep `brute_nw`'s 2D Borda fold well under a second
+        profile = many_voters_on_few_boxes(random.Random(1805), 2, n=20)
+        boxes = {v.bounds for v in profile.voters}
+        lookups.clear()
+        runs.clear()
+        borda = ScoringRule.borda()
+        assert necessary_winner(profile, borda, range(5)) == brute_nw(profile, borda, 10**100)
+        assert len(profile.voters) > len(boxes) == len(lookups) == len(set(lookups))
+        assert not runs
 
-    @pytest.mark.parametrize("kind", ["approval", "kveto"])
-    def test_two_valued_types_from_windows(self, kind):
-        """For every valid k, the 1D voter types built from the approval
-        windows equal the completion-scored types, and NW equals `brute_nw`."""
+    @pytest.mark.parametrize("kind", ["approval", "kveto", "borda", "fkt", "wveto", "vector"])
+    def test_run_scored_types_match_completions(self, kind):
+        """Under every rule of each family, the 1D voter types scored from
+        the arrangement runs (or, for plurality and veto, the place sets)
+        equal the completion-scored types, and NW equals `brute_nw`."""
         rng = random.Random(2302)
-        verdicts = set()
+        sizes = set()
+        most = 30 if kind in ("approval", "kveto") else 16  # `brute_nw`'s fold grows fast with n under many-valued rules
         for trial in range(40):
             m = rng.randint(3, 7)
             if trial % 2:
-                profile = many_voters_on_few_boxes(rng, 1, m=m, n=rng.randint(2, 30), num_boxes=rng.randint(1, 4))
+                profile = many_voters_on_few_boxes(rng, 1, m=m, n=rng.randint(2, most), num_boxes=rng.randint(1, 4))
             else:
                 profile = random_profile_1d(rng, m, rng.randint(1, 4))
-            for k in range(1, m):
-                rule = ScoringRule.k_approval(k) if kind == "approval" else ScoringRule.k_veto(k)
+            rules = {
+                "approval": [ScoringRule.k_approval(k) for k in range(1, m)],
+                "kveto": [ScoringRule.k_veto(k) for k in range(1, m)],
+                "borda": [ScoringRule.borda()],
+                "fkt": [ScoringRule.fkt(k, t) for k in range(1, m) for t in range(1, m - k + 1)],
+                "wveto": [
+                    ScoringRule.weighted_veto(rng.randint(5, 7), sorted(rng.sample(range(5), b), reverse=True))
+                    for b in range(1, (m + 1) // 2)
+                ],
+                "vector": [
+                    ScoringRule.explicit(sorted(rng.sample(range(10), m), reverse=True)) for _ in range(3)
+                ],
+            }[kind]
+            for rule in rules:
                 vec = realize_score_vector(rule, m)
                 assert _voter_types(profile, vec) == completion_types(profile, vec)
                 nw = necessary_winner(profile, rule, range(m))
                 assert nw == brute_nw(profile, rule, 10**100)
-                verdicts.add(bool(nw))
-        assert verdicts == {False, True}
+                sizes.add(len(nw))
+        assert len(sizes) > 1
 
 
 class TestDispatch:
