@@ -37,7 +37,7 @@ SCHEMA_VERSION = 1
 # Documents
 # ---------------------------------------------------------------------------
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _describe(value: Any) -> str:
@@ -66,8 +66,12 @@ def _string(value: Any) -> str:
 
 
 def _rational(value: Any) -> Fraction:
-    if type(value) is int or (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+    if type(value) is int:
         return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match:  # the groups are ASCII digits, which `int` reads as `Fraction(value)` would
+        numerator, denominator = match.groups()
+        return Fraction(int(numerator), int(denominator or 1))
     raise ValueError(f'expected an integer or a string like "-3/2", got {_describe(value)}')
 
 

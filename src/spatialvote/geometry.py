@@ -37,6 +37,7 @@ sequences, so it probes every tie point inside the interval.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
@@ -74,6 +75,11 @@ class Face(namedtuple("Face", "inequalities witness")):
 RankingWithWitness = namedtuple("RankingWithWitness", "ranking witness")
 
 
+#: A stand-in for a `Candidate` with an integer position, which
+#: `rank_from_point` reads like the candidate itself.
+_Scaled = namedtuple("_Scaled", "position")
+
+
 @lru_cache(maxsize=1024)
 def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...]]:
     """The 1D rankings of a candidate tuple, shared by every voter.
@@ -86,17 +92,24 @@ def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction
     is constant on every open cell; this takes at most 2*C(m,2)+1 distance
     sorts.  `_element_1d` finds the element holding a point, and an interval
     covers the run of elements between those holding its ends.
+
+    The sorts run on integers: positions and probes are scaled by 4L, L the
+    common denominator of the positions, which makes every midpoint and
+    every midpoint of consecutive midpoints whole.  A positive scale keeps
+    every distance order and tie, so the rankings are those of the
+    unscaled probes.
     """
-    points = set()
-    for a, b in itertools.combinations(candidates, 2):
-        if len(a.position) != 1 or len(b.position) != 1:
-            raise DimensionMismatch("tie_points_1d needs 1-dimensional candidates")
-        points.add((a.position[0] + b.position[0]) / 2)
-    mids = tuple(sorted(points))
-    inside = [(a + b) / 2 for a, b in zip(mids, mids[1:])]
-    cell_points = [mids[0] - 1, *inside, mids[-1] + 1] if mids else [Fraction(0)]
-    probes = [x for pair in zip(cell_points, mids) for x in pair] + [cell_points[-1]]
-    return mids, tuple(rank_from_point((x,), candidates) for x in probes)
+    if any(len(c.position) != 1 for c in candidates):
+        raise DimensionMismatch("tie_points_1d needs 1-dimensional candidates")
+    positions = [c.position[0] for c in candidates]
+    scale = 4 * math.lcm(*(x.denominator for x in positions))
+    scaled = [_Scaled((int(x * scale),)) for x in positions]
+    ends = sorted({(a.position[0] + b.position[0]) // 2 for a, b in itertools.combinations(scaled, 2)})
+    inside = [(a + b) // 2 for a, b in zip(ends, ends[1:])]
+    cell_points = [ends[0] - scale, *inside, ends[-1] + scale] if ends else [0]
+    probes = [x for pair in zip(cell_points, ends) for x in pair] + [cell_points[-1]]
+    mids = tuple(Fraction(x, scale) for x in ends)
+    return mids, tuple(rank_from_point((x,), scaled) for x in probes)
 
 
 def _element_1d(mids: Sequence[Fraction], x: Fraction) -> int:

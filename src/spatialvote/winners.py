@@ -67,18 +67,27 @@ def necessary_winner(
     A rival r ends strictly ahead of c in some completion iff the sum over
     the (independent) voters of each voter's largest score(r) - score(c) is
     positive (Xia & Conitzer, JAIR 41, 2011).  That largest difference
-    depends only on the set of score vectors a voter can contribute, so one
-    pass over the voter types (`_voter_types`) adds it, times the type's
-    multiplicity, for every requested c and every rival at once.
+    depends only on the set of score vectors a voter can contribute, its
+    type (`_voter_types`).  Each distinct score vector s gets one difference
+    row, row[c*m + r] = s[r] - s[c]; a type's largest differences, for every
+    (c, r) at once, are the fieldwise max of its vectors' rows, and the
+    type's multiplicity times that adds into one m*m lead table.  Candidate
+    c is a necessary winner iff no entry of its block of m leads is
+    positive; `candidates` only filters the result.
     """
     wanted = _candidate_set(profile, candidates)
     m = profile.num_candidates
-    lead = {c: [0] * m for c in wanted}
+    lead = [0] * (m * m)
+    rows: dict[tuple[int, ...], list[int]] = {}
     for scores, n in _voter_types(profile, realize_score_vector(rule, m)).items():
-        for c, total in lead.items():
-            for r in range(m):
-                total[r] += n * max(score[r] - score[c] for score in scores)
-    return frozenset(c for c, total in lead.items() if max(total) <= 0)
+        own = []
+        for s in scores:
+            if s not in rows:
+                rows[s] = [y - x for x in s for y in s]
+            own.append(rows[s])
+        most = own[0] if len(own) == 1 else map(max, *own)
+        lead = [total + n * d for total, d in zip(lead, most)]
+    return frozenset(c for c in wanted if max(lead[c * m : (c + 1) * m]) <= 0)
 
 
 def _box_types(profile: PartialSpatialProfile, summary: Callable[[tuple], Hashable | None]) -> Counter | None:
@@ -102,9 +111,10 @@ def _voter_types(
     Under plurality and veto a vector is fixed by its first or last place,
     so the types come from the place sets (`_place_types`), which in d >= 2
     never enumerate completions.  Under every other rule each distinct box's
-    rankings are scored once: in d = 1 those of its run of the shared line
+    rankings are read once: in d = 1 those of its run of the shared line
     arrangement (`geometry.arrangement_run_1d`, two bisections and no
-    witness), in d >= 2 its completions.
+    witness), in d >= 2 its completions; each distinct ranking is scored
+    once per call, however many boxes share it.
     """
     m = len(vec)
     canon = canonical_vector(vec)
@@ -116,20 +126,25 @@ def _voter_types(
             for places, n in _place_types(profile, last).items()
         })
 
+    scored: dict[tuple[int, ...], tuple[int, ...]] = {}  # ranking -> score vector
+
+    def score(ranking: tuple[int, ...]) -> tuple[int, ...]:
+        vector = scored.get(ranking)
+        if vector is None:
+            points = [0] * m
+            for pos, cand in enumerate(ranking):
+                points[cand] = vec[pos]
+            vector = scored[ranking] = tuple(points)
+        return vector
+
     def scores(bounds: tuple) -> frozenset[tuple[int, ...]]:
         if profile.dimension == 1:
             rankings = arrangement_run_1d(profile.candidates, bounds[0])
         else:
             rankings = [rw.ranking for rw in ranking_completions(profile.candidates, bounds)]
-        vectors = set()
-        for ranking in rankings:
-            score = [0] * m
-            for pos, cand in enumerate(ranking):
-                score[cand] = vec[pos]
-            vectors.add(tuple(score))
-        if not vectors:
+        if not rankings:
             raise SelfCheckFailed(f"box {bounds} has no ranking completion")
-        return frozenset(vectors)
+        return frozenset(map(score, rankings))
 
     return _box_types(profile, scores)
 

@@ -2,13 +2,17 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from spatialvote import scheduling
 from spatialvote.cli import (
+    _describe,
+    _rational,
     election_to_document,
     generate_election,
     generate_scheduling,
@@ -98,6 +102,57 @@ class TestDocuments:
         mutate(doc)
         with pytest.raises(InvalidInstance, match=r"^(document|election|scheduling)\b"):
             parse_document(doc)
+
+
+def reference_rational(value):
+    """`cli._rational` as it read coordinates with `Fraction(str)`, which
+    parses the text a second time."""
+    if type(value) is int or (isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value)):
+        return Fraction(value)
+    raise ValueError(f'expected an integer or a string like "-3/2", got {_describe(value)}')
+
+
+def parse_outcome(parse, value):
+    try:
+        result = parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+ACCEPTED_RATIONALS = {"-0/3": Fraction(0), "007": Fraction(7), "-6/4": Fraction(-3, 2), 7: Fraction(7)}
+REJECTED_RATIONALS = ["1/0", "+1", " 1", "1.5", "1e3", "1/-2", "\u0663", "1/\u0663", True]
+
+
+class TestRationalParsing:
+    @pytest.mark.parametrize("value", [*ACCEPTED_RATIONALS, *REJECTED_RATIONALS], ids=repr)
+    def test_same_verdicts_and_diagnostics(self, value):
+        kind, result = parse_outcome(_rational, value)
+        assert (kind, result) == parse_outcome(reference_rational, value)
+        if value in ACCEPTED_RATIONALS:
+            assert kind is Fraction and result == ACCEPTED_RATIONALS[value]
+        else:
+            assert kind is (ZeroDivisionError if value == "1/0" else ValueError)
+
+    def test_fuzzed_values(self):
+        """2,000 seeded short strings over digits, signs, slashes, spaces,
+        exponents, underscores and a non-ASCII digit, and other JSON values."""
+        rng = random.Random(2503)
+        values = ["".join(rng.choices("0123456789-/+ .e_\u0663", k=rng.randint(0, 6))) for _ in range(2000)]
+        values += ["1" * 5000, "-" + "1" * 4300, "1/" + "0" * 4301, "-0/0", -3, 0, False, None, 1.5, [], {}]
+        outcomes = [parse_outcome(_rational, v) for v in values]
+        assert outcomes == [parse_outcome(reference_rational, v) for v in values]
+        assert {kind for kind, _ in outcomes} == {Fraction, ValueError, ZeroDivisionError}
+
+    @pytest.mark.parametrize("value", REJECTED_RATIONALS, ids=repr)
+    def test_rejected_on_the_command_line(self, capsys, tmp_path, value):
+        _, message = parse_outcome(reference_rational, value)
+        doc = load_document(ELECTION)
+        doc["candidates"][0]["position"] = [value]
+        code, out, err = run(capsys, "rankings", "--instance", write_doc(tmp_path, doc))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "InvalidInstance", "message": f"election.candidates[0].position[0]: {message}"}
 
 
 class TestCommands:

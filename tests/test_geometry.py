@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -168,6 +169,37 @@ class TestSharedArrangement:
             rng.shuffle(order)
             for voter in profile.voters:
                 assert_same_as_reference(tuple(order), voter.bounds[0])
+
+    def test_integer_arrangement_matches_fraction_probes(self):
+        """On 3,000 seeded candidate tuples in arbitrary order, with
+        denominators 1-5, coincident positions and m = 1, the arrangement
+        ranked on integers over one common denominator equals
+        `rank_from_point` at the unscaled `Fraction` probes."""
+        rng = random.Random(2501)
+        sizes = Counter()
+        for _ in range(3000):
+            m = rng.randint(1, 8)
+            pool = [Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(rng.randint(1, m))]
+            positions = [rng.choice(pool) for _ in range(m)]
+            candidates = tuple(Candidate(f"c{i + 1}", (x,)) for i, x in enumerate(positions))
+            mids = sorted({(a + b) / 2 for a, b in itertools.combinations(positions, 2)})
+            inside = [(a + b) / 2 for a, b in zip(mids, mids[1:])]
+            cells = [mids[0] - 1, *inside, mids[-1] + 1] if mids else [Fraction(0)]
+            probes = [x for pair in zip(cells, mids) for x in pair] + [cells[-1]]
+            expected = (tuple(mids), tuple(rank_from_point((x,), candidates) for x in probes))
+            got = geometry._line_arrangement(candidates)
+            assert got == expected
+            assert all(type(x) is Fraction for x in got[0])
+            sizes[m == 1, len(set(positions)) < m] += 1
+        assert all(sizes[key] for key in ((True, False), (False, True), (False, False)))
+
+    def test_arrangement_rejects_2d_candidates(self):
+        for m in (1, 3):
+            candidates = tuple(Candidate(f"c{i}", (i, 0)) for i in range(m))
+            with pytest.raises(DimensionMismatch):
+                geometry._line_arrangement(candidates)
+        with pytest.raises(DimensionMismatch):
+            tie_points_1d((Candidate("a", (0,)), Candidate("b", (1, 1))), (Fraction(0), Fraction(1)))
 
     def test_one_arrangement_per_candidate_tuple(self, monkeypatch):
         geometry.ranking_completions.cache_clear()
