@@ -100,7 +100,7 @@ def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction
     unscaled probes.
     """
     if any(len(c.position) != 1 for c in candidates):
-        raise DimensionMismatch("tie_points_1d needs 1-dimensional candidates")
+        raise DimensionMismatch("the line arrangement needs 1-dimensional candidates")
     positions = [c.position[0] for c in candidates]
     scale = 4 * math.lcm(*(x.denominator for x in positions))
     scaled = [_Scaled((int(x * scale),)) for x in positions]
@@ -146,35 +146,27 @@ def arrangement_run_1d(
     return rankings[first : last + 1]
 
 
-def tie_points_1d(
-    candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
-) -> list[Fraction]:
-    """All points of [lo, hi] equidistant from two or more candidates: the
-    tie points of the interval's run."""
-    mids, _, first, last = _run_1d(candidates, interval)
-    return list(mids[first // 2 : (last + 1) // 2])
-
-
 def enumerate_rankings_1d(
     candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
 ) -> list[RankingWithWitness]:
     """One witness per distinct ranking over a 1D interval of ideal points.
 
-    Probes every tie point and every midpoint between consecutive
+    Probes every breakpoint and every midpoint between consecutive
     breakpoints, in order, and keeps the first witness of each ranking; at
-    most C(m,2)+1 distinct rankings come back.  A probe's ranking is that of
-    its element (`_element_1d`) in the candidates' shared `_line_arrangement`,
-    so the ranking set is that of `arrangement_run_1d`; the probes are
-    there for the witnesses.
+    most C(m,2)+1 distinct rankings come back.  The breakpoints are lo, hi
+    and the tie points of the interval's run (`_run_1d`), and a probe's
+    ranking is that of its element (`_element_1d`) in the same shared
+    `_line_arrangement`, so the ranking set is that of `arrangement_run_1d`;
+    the probes are there for the witnesses.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    breaks = sorted({lo, hi} | set(tie_points_1d(candidates, (lo, hi))))
+    mids, rankings, first, last = _run_1d(candidates, (lo, hi))
+    breaks = sorted({lo, hi, *mids[first // 2 : (last + 1) // 2]})
     probes: list[Fraction] = []
     for a, b in zip(breaks, breaks[1:]):
         probes.append(a)
         probes.append((a + b) / 2)
     probes.append(breaks[-1])
-    mids, rankings = _line_arrangement(tuple(candidates))
     out: list[RankingWithWitness] = []
     seen: set[Ranking] = set()
     for x in probes:
@@ -382,9 +374,12 @@ def _precedence_rows(candidates: tuple[Candidate, ...]) -> tuple[tuple[LinearIne
     triangle gives face splitting's sides and `bisectors`, and `place_sets`
     reads whole rows.  A coincident pair's row is all zero.
 
-    Built once per candidate tuple, so every box shares the rows and each
-    row's `integer_row`.  rows[b][a] is the complement of rows[a][b], so
-    the lower triangle is the upper one negated.
+    Built once per candidate tuple.  Every `place_sets` box passes the rows
+    themselves to the LFP, so those boxes share each row's `integer_row`;
+    `enumerate_rankings_dd` substitutes a box's fixed coordinates into new
+    rows (`restrict`), whose integer forms are computed per box.  rows[b][a]
+    is the complement of rows[a][b], so the lower triangle is the upper one
+    negated.
     """
     positions = [c.position for c in candidates]
     norms = [sum(x * x for x in p) for p in positions]
@@ -430,9 +425,11 @@ def place_sets(
 def ranking_completions(
     candidates: tuple[Candidate, ...], bounds: tuple[tuple[Fraction, Fraction], ...]
 ) -> tuple[RankingWithWitness, ...]:
-    """Cached per-box enumeration; the workhorse for winners and oracle.
+    """Cached per-box enumeration, with witnesses.
 
-    Keyed on a box's bounds rather than on a voter, so voters with equal
-    boxes share one entry.
+    Read by the `rankings` command, the oracle, the reduction's check, the
+    1D plurality and veto flows and the d >= 2 NW types; the other 1D
+    routes read `arrangement_run_1d` instead.  Keyed on a box's bounds
+    rather than on a voter, so voters with equal boxes share one entry.
     """
     return tuple(enumerate_rankings_dd(candidates, VoterBox("", bounds)))

@@ -157,13 +157,12 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
                 stack.append((state, pick, (time + 1, ends[1:] + (0,), remaining)))
                 state = (time, ends[:-1] + (ends[-1] + 1,), remaining ^ pick)
                 continue
-            # Nothing can start: jump to the next arrival or, with every
-            # machine busy, the next end time, whichever comes first.
+            # Nothing can start: jump to the next arrival, whose jobs are all
+            # pending, or, with every machine busy, the next end time,
+            # whichever comes first.
             pending = remaining ^ ready
             nxt = time + 1 + next(i for i, n in enumerate(ends) if n) if running else None
             if pending:
-                while not pending & arrived[idx]:
-                    idx += 1
                 nxt = arrivals[idx] if running < t else min(nxt, arrivals[idx])
             shift = min(nxt - time, p)
             stack.append((state, 0, None))

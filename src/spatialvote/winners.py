@@ -15,11 +15,11 @@ approval windows), weighted veto rules (an intersection of those windows)
 and the three-valued rules F(k, t) with k > t.  Everything else falls back,
 behind an explicit opt-in flag, to one exhaustive oracle pass.
 
-In one dimension the approval windows, and the NW types under every rule
-but plurality and veto, are read off each box's run of the shared line
-arrangement (`geometry.arrangement_run_1d`), so those routes enumerate no
-completion; the 1D plurality and veto place sets, which serve both their
-flows and their NW types, read `ranking_completions`.
+In one dimension the approval windows, and the NW types under every rule,
+are read off each box's run of the shared line arrangement
+(`geometry.arrangement_run_1d`), so those routes enumerate no completion;
+only the 1D plurality and veto flows read their place sets off
+`ranking_completions`.
 """
 
 from __future__ import annotations
@@ -108,17 +108,17 @@ def _voter_types(
 ) -> Counter[frozenset[tuple[int, ...]]]:
     """The voters counted by the set of score vectors each can contribute.
 
-    Under plurality and veto a vector is fixed by its first or last place,
-    so the types come from the place sets (`_place_types`), which in d >= 2
-    never enumerate completions.  Under every other rule each distinct box's
-    rankings are read once: in d = 1 those of its run of the shared line
-    arrangement (`geometry.arrangement_run_1d`, two bisections and no
-    witness), in d >= 2 its completions; each distinct ranking is scored
-    once per call, however many boxes share it.
+    In d >= 2, under plurality and veto a vector is fixed by its first or
+    last place, so the types come from the place sets (`_place_types`),
+    which never enumerate completions.  Otherwise each distinct box's
+    rankings are read once: in d = 1, under every rule, those of its run of
+    the shared line arrangement (`geometry.arrangement_run_1d`, two
+    bisections and no witness), in d >= 2 its completions; each distinct
+    ranking is scored once per call, however many boxes share it.
     """
     m = len(vec)
     canon = canonical_vector(vec)
-    if canon in ((1,) + (0,) * (m - 1), (1,) * (m - 1) + (0,)):
+    if profile.dimension > 1 and canon in ((1,) + (0,) * (m - 1), (1,) * (m - 1) + (0,)):
         last = canon[1] == 1
         placed, other = (vec[-1], vec[0]) if last else (vec[0], vec[-1])
         return Counter({
@@ -357,7 +357,8 @@ def _place_types(profile: PartialSpatialProfile, last: bool) -> Counter[frozense
     """The voters counted by the candidates their box can rank first (last
     if `last`): those whose nearest- (farthest-) point Voronoi cell meets it
     in d >= 2 (`place_sets`), the first (last) places of its completions in
-    d = 1."""
+    d = 1.  The flows read both; NW under plurality and veto reads only the
+    d >= 2 sets (`_voter_types`)."""
     if profile.dimension > 1:
         return _box_types(profile, partial(place_sets, profile.candidates, last=last))
     pos = -1 if last else 0

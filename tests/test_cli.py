@@ -227,6 +227,13 @@ class TestCommands:
         _, second, _ = run(capsys, "gen", "--seed", "9", "--dimension", "2")
         assert first == second
 
+    def test_gen_scheduling_output_parses(self, capsys):
+        code, out, _ = run(capsys, "gen", "--seed", "4", "--kind", "scheduling", "--num-jobs", "5", "--machines", "2")
+        assert code == 0
+        instance = parse_document(json.loads(out))
+        assert instance == generate_scheduling(4, 5, 2)
+        assert len(instance.jobs) == 5 and instance.machines == 2
+
     def test_reduce_sched_output_parses(self, capsys):
         code, out, _ = run(capsys, "reduce-sched", "--instance", SCHEDULING, "--k", "3")
         assert code == 0
@@ -300,6 +307,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *command, "--instance", instance, "--rule", "approval:5")
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "RuleUndefinedAtM"
+
+    @pytest.mark.parametrize("rule", ["approval:0", "kveto:0", "fkt:0:1", "vector:5", "vector:2,-1", "wveto:3:-1"])
+    def test_rule_parameters_out_of_range(self, capsys, rule):
+        code, out, err = run(capsys, "pw", "--instance", ELECTION, "--rule", rule)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith(f"bad rule descriptor {rule!r}: ")
+
+    def test_kveto_undefined_at_three_candidates(self, capsys):
+        code, out, err = run(capsys, "pw", "--instance", ELECTION, "--rule", "kveto:3")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "RuleUndefinedAtM" and error["message"] == "k-veto with k=3 undefined for m=3"
 
     def test_no_polynomial_algorithm(self, capsys):
         code, _, err = run(capsys, "pw", "--instance", ELECTION, "--rule", "borda")
@@ -398,6 +418,24 @@ class TestExitCodes:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "InvalidInstance" and error["message"].startswith(where + ":")
+
+    def test_truncated_document(self, capsys, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text(serialize(load_document(ELECTION))[:40])
+        code, out, err = run(capsys, "rankings", "--instance", str(path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInstance"
+        assert re.fullmatch(re.escape(str(path)) + r":\d+:\d+: \S.*", error["message"])
+
+    def test_reduce_sched_without_jobs(self, capsys, tmp_path):
+        doc = load_document(SCHEDULING)
+        doc["jobs"] = []
+        code, out, err = run(capsys, "reduce-sched", "--instance", write_doc(tmp_path, doc), "--k", "3")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "PreconditionViolated", "message": "the reduction needs at least one job"
+        }
 
     def test_deeply_nested_document(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -29,7 +29,7 @@ from spatialvote import (
     specify_faces,
 )
 from spatialvote.errors import DimensionMismatch
-from spatialvote.geometry import arrangement_run_1d, box_inequalities, place_sets, tie_points_1d
+from spatialvote.geometry import arrangement_run_1d, box_inequalities, place_sets
 from spatialvote.scheduling import reduce_scheduling_to_pw
 
 SCHEDULING = os.path.join(os.path.dirname(__file__), "..", "instances", "two_jobs_one_machine.json")
@@ -40,25 +40,34 @@ def line(a, b, c):
     return Hyperplane((Fraction(a), Fraction(b)), Fraction(c), (0, 1))
 
 
+def run_tie_points(candidates, interval):
+    """The tie points inside [lo, hi], as `enumerate_rankings_1d` reads them
+    off the interval's run of the line arrangement."""
+    mids, _, first, last = geometry._run_1d(candidates, interval)
+    return list(mids[first // 2 : (last + 1) // 2])
+
+
 class TestTiePoints:
     CANDS = (Candidate("a", (1,)), Candidate("b", (2,)), Candidate("c", (3,)))
 
     def test_midpoints_inside_interval(self):
-        assert tie_points_1d(self.CANDS, (Fraction(1), Fraction(3))) == [
+        assert run_tie_points(self.CANDS, (Fraction(1), Fraction(3))) == [
             Fraction(3, 2),
             Fraction(2),
             Fraction(5, 2),
         ]
 
     def test_clipped_to_interval(self):
-        assert tie_points_1d(self.CANDS, (Fraction(2), Fraction(3))) == [
+        assert run_tie_points(self.CANDS, (Fraction(2), Fraction(3))) == [
             Fraction(2),
             Fraction(5, 2),
         ]
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
-            tie_points_1d(self.CANDS, (Fraction(3), Fraction(1)))
+            run_tie_points(self.CANDS, (Fraction(3), Fraction(1)))
+        with pytest.raises(ValueError):
+            enumerate_rankings_1d(self.CANDS, (Fraction(3), Fraction(1)))
 
 
 class TestEnumerate1D:
@@ -123,7 +132,7 @@ def assert_same_as_reference(candidates, interval):
     reference = reference_enumerate_rankings_1d(candidates, interval)
     assert got == reference
     assert all(type(rw.witness[0]) is Fraction for rw in got)
-    assert tie_points_1d(candidates, interval) == reference_tie_points_1d(candidates, interval)
+    assert run_tie_points(candidates, interval) == reference_tie_points_1d(candidates, interval)
     # the interval's run of the arrangement holds exactly the completions
     run = set(arrangement_run_1d(candidates, interval))
     assert run == {rw.ranking for rw in ranking_completions(tuple(candidates), (interval,))}
@@ -199,7 +208,7 @@ class TestSharedArrangement:
             with pytest.raises(DimensionMismatch):
                 geometry._line_arrangement(candidates)
         with pytest.raises(DimensionMismatch):
-            tie_points_1d((Candidate("a", (0,)), Candidate("b", (1, 1))), (Fraction(0), Fraction(1)))
+            geometry._run_1d((Candidate("a", (0,)), Candidate("b", (1, 1))), (Fraction(0), Fraction(1)))
 
     def test_one_arrangement_per_candidate_tuple(self, monkeypatch):
         geometry.ranking_completions.cache_clear()
@@ -313,6 +322,14 @@ class TestEnumerateDD:
         cands = (Candidate("a", (0, 0)), Candidate("b", (1, 1)))
         box = VoterBox("v", ((0, 1), (0, 1)))
         assert ranking_completions(cands, box.bounds) is ranking_completions(cands, box.bounds)
+
+    @pytest.mark.parametrize(
+        "positions", [((0,), (1,)), ((0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1, 1))], ids=["1d", "2d-and-3d", "3d"]
+    )
+    def test_dimension_mismatch(self, positions):
+        cands = tuple(Candidate(f"c{i}", p) for i, p in enumerate(positions))
+        with pytest.raises(DimensionMismatch):
+            enumerate_rankings_dd(cands, VoterBox("v", ((0, 1), (0, 1))))
 
 
 def split_case(rng):

@@ -23,8 +23,8 @@ from spatialvote import (
     winners,
 )
 from spatialvote.cli import generate_election
-from spatialvote.errors import InstanceTooLarge, PreconditionViolated
-from spatialvote.scheduling import check_schedule
+from spatialvote.errors import InstanceTooLarge, PreconditionViolated, SelfCheckFailed
+from spatialvote.scheduling import Schedule, check_schedule
 
 
 class TestJobs:
@@ -158,6 +158,24 @@ class TestCheckSchedule:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "overlapping jobs on machine 0"
 
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            ({"a": (1, 0)}, "the schedule does not assign exactly the instance's jobs"),
+            ({"a": (Fraction(1), 0), "b": (3, 0)}, "job 'a' starts at non-integer time Fraction(1, 1)"),
+            ({"a": (1, 0), "b": (4, 0)}, "job 'b' starts at 4, outside its window"),
+            ({"a": (1, 0), "b": (3, 1)}, "job 'b' runs on nonexistent machine 1"),
+            ({"a": (1, 0), "b": (2, 0)}, "overlapping jobs on machine 0"),
+        ],
+        ids=["job-set", "non-integer", "window", "machine", "overlap"],
+    )
+    def test_each_invariant_raises(self, assignments, message):
+        instance = SchedulingInstance((Job("a", 1, 5, 2), Job("b", 1, 5, 2)), 1)
+        check_schedule(instance, Schedule({"a": (1, 0), "b": (3, 0)}))
+        with pytest.raises(SelfCheckFailed) as info:
+            check_schedule(instance, Schedule(assignments))
+        assert str(info.value) == message
+
 
 class TestBruteForce:
     def test_guard(self):
@@ -168,6 +186,9 @@ class TestBruteForce:
     def test_small_infeasible(self):
         instance = SchedulingInstance((Job("a", 1, 4, 3), Job("b", 1, 4, 3)), 1)
         assert brute_force_schedule(instance) is None
+
+    def test_no_jobs(self):
+        assert brute_force_schedule(SchedulingInstance((), 2)) == Schedule({})
 
 
 class TestReduction:
@@ -190,6 +211,12 @@ class TestReduction:
         assert rule.kind == "k-approval" and rule.k == 3
         # one voter per job; no fillers needed with a single short job
         assert len(profile.voters) == 2
+
+    def test_padding_job_id_avoids_existing_ids(self):
+        # without a length-(k-1) job a padding job is added; "pad" is taken
+        instance = SchedulingInstance((Job("pad", 1, 5, 3), Job("pad_x", 2, 6, 3)), 1)
+        profile, _, _ = reduce_scheduling_to_pw(instance, 3)
+        assert [v.id for v in profile.voters] == ["v_pad", "v_pad_x", "v_pad_"]
 
     def test_round_trip_sample(self):
         rng = random.Random(23)

@@ -41,3 +41,54 @@ def test_oracle_stays_at_the_top_of_the_import_graph():
     assert "oracle" in graph and "oracle" in graph["winners"]
     assert sorted(name for name, deps in graph.items() if "oracle" in deps) == ["__init__", "cli", "winners"]
     assert graph["oracle"].isdisjoint({"winners", "scheduling", "cli"})
+
+
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """The names, attribute names and imported names used under `node`;
+    docstrings and other strings do not count."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.split(".")[-1])
+    return found
+
+
+def _traced_names() -> set[str]:
+    """The package attributes `perfbench/tracer.py` replaces: its attribute
+    assignments and the name tuples it loops `setattr` over."""
+    found = set()
+    for node in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            found.update(e.value for e in node.iter.elts if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return found
+
+
+def test_every_definition_is_used():
+    # a module-level function or class must be used by another top-level
+    # statement of the package, be public API, or be a layer the benchmark
+    # tracer wraps; a helper kept alive only by the tests fails here
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))}
+    statements = [(name, stmt) for name, tree in trees.items() for stmt in tree.body]
+    exported = next(
+        ast.literal_eval(stmt.value)
+        for stmt in trees["__init__.py"].body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["__all__"]
+    )
+    kept = set(exported) | _traced_names()
+    assert {"enumerate_rankings_1d", "feasible_equal_length", "necessary_winner"} <= kept
+    uses = [_referenced_names(stmt) for _, stmt in statements]
+    unused = []
+    for i, (module, stmt) in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and stmt.name not in kept:
+            if not any(stmt.name in names for j, names in enumerate(uses) if j != i):
+                unused.append(f"{module}:{stmt.name}")
+    assert unused == []

@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 from gen_helpers import check_winner_set, random_profile_1d, random_profile_2d
+from sweep_reference import reference_tie_points_1d
 from spatialvote import (
     Candidate,
     NoPolynomialAlgorithm,
@@ -31,7 +32,7 @@ from spatialvote import (
 from spatialvote import geometry, oracle, winners
 from spatialvote.cli import generate_election
 from spatialvote.errors import DimensionMismatch, InstanceTooLarge, SelfCheckFailed
-from spatialvote.geometry import ranking_completions, tie_points_1d
+from spatialvote.geometry import ranking_completions
 from spatialvote.model import realize_score_vector
 from spatialvote.winners import _FlowNetwork, _voter_types, _window, approval_windows_1d
 
@@ -162,6 +163,11 @@ class TestApprovalWindows:
         with pytest.raises(DimensionMismatch):
             approval_windows_1d(profile, 1)
 
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_k_outside_two_valued_range(self, k):
+        with pytest.raises(RuleMismatch):
+            approval_windows_1d(REFERENCE, k)
+
     def test_run_window_matches_completion_window(self):
         """On 400 seeded boxes (ends on tie points, point boxes, boxes past
         the outermost midpoint, sorted and shuffled candidates), the window
@@ -176,7 +182,7 @@ class TestApprovalWindows:
             if rng.random() < 0.5:
                 rng.shuffle(candidates)
             candidates = tuple(candidates)
-            ties = tie_points_1d(candidates, (Fraction(-6), Fraction(6)))
+            ties = reference_tie_points_1d(candidates, (Fraction(-6), Fraction(6)))
             tie, x = rng.choice(ties), Fraction(rng.randint(-40, 40), 4)
             boxes = [v.bounds for v in profile.voters] + [((tie, tie),), ((min(tie, x), max(tie, x)),)]
             filters = [lambda ranking: True] + [
@@ -246,6 +252,10 @@ class TestFkt1D:
         with pytest.raises(RuleMismatch):
             pw_fkt_1d(REFERENCE, ScoringRule.fkt(1, 1), (0,))
 
+    def test_rule_kind_checked(self):
+        with pytest.raises(RuleMismatch):
+            pw_fkt_1d(REFERENCE, ScoringRule.k_approval(2), (0,))
+
     def test_matches_oracle(self):
         rng = random.Random(47)
         for _ in range(80):
@@ -268,7 +278,7 @@ class TestFkt1D:
         for _ in range(60):
             m = rng.randint(3, 7)
             profile = random_profile_1d(rng, m, 3)
-            ties = tie_points_1d(profile.candidates, (Fraction(-8), Fraction(8)))
+            ties = reference_tie_points_1d(profile.candidates, (Fraction(-8), Fraction(8)))
             boxes = list(profile.voters)
             for i, x in enumerate(rng.sample(ties, min(3, len(ties)))):
                 other = Fraction(rng.randint(-8, 8))
@@ -345,8 +355,9 @@ class TestFlows:
 
 class TestPlaceSetRoutes:
     """The flows, and NW under plurality and veto, read place sets off
-    Voronoi cells in d >= 2, never the completions, and off the 1D
-    completions in d = 1, never the LFP."""
+    Voronoi cells in d >= 2, never the completions; in d = 1 the flows read
+    them off the completions and NW reads the arrangement runs, never the
+    LFP."""
 
     @pytest.mark.parametrize(
         "dimension, module, name",
@@ -447,9 +458,10 @@ class TestNecessaryWinner:
         assert digest == "44c34cb95ebf5bebb4a17ceef53a1dde3ffb5a9ea0b2fb9824a480b75b0770d2"
 
     def test_one_completion_lookup_per_distinct_box(self, monkeypatch):
-        """In d = 1, NW under Borda and the two-valued rules reads each
-        distinct box's arrangement run once and enumerates no completion; in
-        d = 2 it looks each distinct box's completions up once."""
+        """In d = 1, NW under every rule, plurality and veto included,
+        reads each distinct box's arrangement run once and enumerates no
+        completion; in d = 2 it looks each distinct box's completions up
+        once."""
         lookups, runs = [], []
 
         def counting(candidates, bounds):
@@ -465,7 +477,14 @@ class TestNecessaryWinner:
         profile = many_voters_on_few_boxes(random.Random(1805), 1)
         boxes = {v.bounds for v in profile.voters}
         assert len(profile.voters) > len(boxes)
-        for rule in (ScoringRule.borda(), ScoringRule.k_approval(3), ScoringRule.k_veto(2)):
+        rules = (
+            ScoringRule.borda(),
+            ScoringRule.k_approval(3),
+            ScoringRule.k_veto(2),
+            ScoringRule.plurality(),
+            ScoringRule.veto(),
+        )
+        for rule in rules:
             lookups.clear()
             runs.clear()
             assert necessary_winner(profile, rule, range(5)) == brute_nw(profile, rule, 10**100)
@@ -483,9 +502,10 @@ class TestNecessaryWinner:
 
     @pytest.mark.parametrize("kind", ["approval", "kveto", "borda", "fkt", "wveto", "vector"])
     def test_run_scored_types_match_completions(self, kind):
-        """Under every rule of each family, the 1D voter types scored from
-        the arrangement runs (or, for plurality and veto, the place sets)
-        equal the completion-scored types, and NW equals `brute_nw`."""
+        """Under every rule of each family, plurality and veto included as
+        approval:1 and kveto:1, the 1D voter types scored from the
+        arrangement runs equal the completion-scored types, and NW equals
+        `brute_nw`."""
         rng = random.Random(2302)
         sizes = set()
         most = 30 if kind in ("approval", "kveto") else 16  # `brute_nw`'s fold grows fast with n under many-valued rules
