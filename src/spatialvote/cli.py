@@ -210,6 +210,8 @@ def generate_election(
         raise ValueError(f"num_voters must be at least 0, got {num_voters}")
     if coord_range < 0:
         raise ValueError(f"coord_range must be at least 0, got {coord_range}")
+    if denominator < 1:
+        raise ValueError(f"denominator must be at least 1, got {denominator}")
     grid_points = 2 * coord_range * denominator + 1
     if dimension == 1 and num_candidates > grid_points:
         raise ValueError(
@@ -247,6 +249,8 @@ def generate_scheduling(
         raise ValueError(f"num_jobs must be at least 0, got {num_jobs}")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if max_processing < 1:
+        raise ValueError(f"max_processing must be at least 1, got {max_processing}")
     rng = random.Random(seed)
     jobs = []
     for i in range(num_jobs):

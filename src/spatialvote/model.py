@@ -238,46 +238,41 @@ def realize_score_vector(rule: ScoringRule, m: int) -> tuple[int, ...]:
     return vec
 
 
+#: Each rule kind's descriptor: its name, its constructor and the record
+#: fields listed after the name, `betas` and `vector` as comma lists.  Both
+#: `rule_from_text` and `rule_to_text` read it, so parsing a printed rule
+#: gives the rule back.
+_DESCRIPTORS = {
+    "plurality": ("plurality", ScoringRule.plurality, ()),
+    "veto": ("veto", ScoringRule.veto, ()),
+    "borda": ("borda", ScoringRule.borda, ()),
+    "k-approval": ("approval", ScoringRule.k_approval, ("k",)),
+    "k-veto": ("kveto", ScoringRule.k_veto, ("k",)),
+    "weighted-veto": ("wveto", ScoringRule.weighted_veto, ("alpha", "betas")),
+    "fkt": ("fkt", ScoringRule.fkt, ("k", "t")),
+    "vector": ("vector", ScoringRule.explicit, ("vector",)),
+}
+_LISTS = ("betas", "vector")
+
+
 def rule_from_text(text: str) -> ScoringRule:
     """Parse a textual rule descriptor such as ``approval:2`` or ``fkt:2:1``."""
-    parts = text.split(":")
-    name = parts[0]
-    try:
-        if name == "plurality" and len(parts) == 1:
-            return ScoringRule.plurality()
-        if name == "veto" and len(parts) == 1:
-            return ScoringRule.veto()
-        if name == "borda" and len(parts) == 1:
-            return ScoringRule.borda()
-        if name == "approval" and len(parts) == 2:
-            return ScoringRule.k_approval(int(parts[1]))
-        if name == "kveto" and len(parts) == 2:
-            return ScoringRule.k_veto(int(parts[1]))
-        if name == "wveto" and len(parts) == 3:
-            return ScoringRule.weighted_veto(int(parts[1]), [int(x) for x in parts[2].split(",")])
-        if name == "fkt" and len(parts) == 3:
-            return ScoringRule.fkt(int(parts[1]), int(parts[2]))
-        if name == "vector" and len(parts) == 2:
-            return ScoringRule.explicit([int(x) for x in parts[1].split(",")])
-    except ValueError as exc:
-        raise ValueError(f"bad rule descriptor {text!r}: {exc}") from exc
+    name, *params = text.split(":")
+    for entry, make, fields in _DESCRIPTORS.values():
+        if (entry, len(fields)) == (name, len(params)):
+            try:
+                return make(*([int(x) for x in p.split(",")] if f in _LISTS else int(p) for f, p in zip(fields, params)))
+            except ValueError as exc:
+                raise ValueError(f"bad rule descriptor {text!r}: {exc}") from exc
     raise ValueError(f"bad rule descriptor {text!r}")
 
 
 def rule_to_text(rule: ScoringRule) -> str:
-    if rule.kind in ("plurality", "veto", "borda"):
-        return rule.kind
-    if rule.kind == "k-approval":
-        return f"approval:{rule.k}"
-    if rule.kind == "k-veto":
-        return f"kveto:{rule.k}"
-    if rule.kind == "weighted-veto":
-        return f"wveto:{rule.alpha}:{','.join(str(b) for b in rule.betas)}"
-    if rule.kind == "fkt":
-        return f"fkt:{rule.k}:{rule.t}"
-    if rule.kind == "vector":
-        return f"vector:{','.join(str(s) for s in rule.vector)}"
-    raise ValueError(f"rule {rule!r} has no textual form")
+    if rule.kind not in _DESCRIPTORS:
+        raise ValueError(f"rule {rule!r} has no textual form")
+    name, _, fields = _DESCRIPTORS[rule.kind]
+    values = [getattr(rule, f) for f in fields]
+    return ":".join([name] + [",".join(map(str, v)) if f in _LISTS else str(v) for f, v in zip(fields, values)])
 
 
 def squared_distance(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:

@@ -1,8 +1,9 @@
 """Non-preemptive scheduling with arrival times and deadlines.
 
-Two feasibility solvers (an equal-length solver used by the possible-winner
-algorithms, and a small exhaustive oracle) plus the translator from
-single-machine scheduling instances to 2D spatial possible-winner instances.
+The equal-length feasibility solver used by the possible-winner algorithms,
+the schedule checker, and the translator from single-machine scheduling
+instances to 2D spatial possible-winner instances.  The exhaustive scheduler
+that the tests use as an oracle lives in `tests/scheduling_reference.py`.
 
 All times are integers.  A job with arrival a, deadline d, and processing
 time p must start at some integer s with a <= s <= d - p; a machine runs at
@@ -19,7 +20,7 @@ from math import comb
 from operator import or_
 from typing import Optional, Sequence
 
-from .errors import DEFAULT_GUARD, InstanceTooLarge, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed, _check_guard
+from .errors import DEFAULT_GUARD, MixedProcessingTimes, PreconditionViolated, SelfCheckFailed, _check_guard
 from .geometry import ranking_completions
 from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox
 
@@ -185,48 +186,6 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
     return schedule
 
 
-def brute_force_schedule(
-    instance: SchedulingInstance, max_jobs: int = 10, max_horizon: int = 20
-) -> Optional[Schedule]:
-    """Exhaustive search over integer start times; exact at desk scale."""
-    jobs = instance.jobs
-    if not jobs:
-        return Schedule({})
-    horizon = max(job.deadline for job in jobs)
-    if len(jobs) > max_jobs or horizon > max_horizon:
-        raise InstanceTooLarge(
-            f"{len(jobs)} jobs / horizon {horizon} exceed the brute-force guard "
-            f"({max_jobs} jobs, horizon {max_horizon})"
-        )
-    t = instance.machines
-    order = sorted(range(len(jobs)), key=lambda i: (jobs[i].arrival, jobs[i].deadline, jobs[i].id))
-    load = [0] * (horizon + 1)
-    starts: dict[str, int] = {}
-
-    def dfs(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        job = jobs[order[pos]]
-        for s in range(job.arrival, job.deadline - job.processing + 1):
-            span = range(s, s + job.processing)
-            if all(load[x] < t for x in span):
-                for x in span:
-                    load[x] += 1
-                starts[job.id] = s
-                if dfs(pos + 1):
-                    return True
-                del starts[job.id]
-                for x in span:
-                    load[x] -= 1
-        return False
-
-    if not dfs(0):
-        return None
-    schedule = Schedule(_assign_machines(jobs, starts, t))
-    check_schedule(instance, schedule)
-    return schedule
-
-
 def reduce_scheduling_to_pw(
     instance: SchedulingInstance, k: int
 ) -> tuple[PartialSpatialProfile, str, ScoringRule]:
@@ -306,13 +265,11 @@ def reduce_scheduling_to_pw(
                 )
 
     profile = PartialSpatialProfile(2, candidates, tuple(voters))
-    _validate_reduction(profile, jobs, k, span)
+    _validate_reduction(profile, jobs, k)
     return profile, "cstar", ScoringRule.k_approval(k)
 
 
-def _validate_reduction(
-    profile: PartialSpatialProfile, jobs: Sequence[Job], k: int, span: int
-) -> None:
+def _validate_reduction(profile: PartialSpatialProfile, jobs: Sequence[Job], k: int) -> None:
     """Check that every job voter realizes exactly the intended approval windows."""
     target_idx = 0  # cstar is listed first
     by_id = {v.id: v for v in profile.voters}

@@ -1,17 +1,21 @@
-"""Reference equal-length scheduler on `frozenset` states, kept as a test oracle.
+"""Reference schedulers kept as test oracles; the package imports neither.
 
-This is the search `spatialvote.scheduling.feasible_equal_length` replaced:
-the same earliest-deadline-first backtracking, written as a recursive `dfs`
-whose memo is keyed on a `frozenset` of remaining job indices and whose
-every node scans the remaining jobs.  Tests require the package's schedules
-to equal its schedules; the package never imports it.
+`reference_feasible_equal_length` is the search
+`spatialvote.scheduling.feasible_equal_length` replaced: the same
+earliest-deadline-first backtracking, written as a recursive `dfs` whose memo
+is keyed on a `frozenset` of remaining job indices and whose every node scans
+the remaining jobs.  Tests require the package's schedules to equal its
+schedules.
+
+`brute_force_schedule` tries every integer start time of every job, for any
+mix of processing times; it anchors acceptance criterion 7.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from spatialvote.errors import MixedProcessingTimes
+from spatialvote.errors import InstanceTooLarge, MixedProcessingTimes
 from spatialvote.scheduling import Schedule, SchedulingInstance, _assign_machines, check_schedule
 
 
@@ -76,5 +80,47 @@ def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Opt
         return None
     by_id = {jobs[i].id: s for i, s in starts.items()}
     schedule = Schedule(_assign_machines(jobs, by_id, t))
+    check_schedule(instance, schedule)
+    return schedule
+
+
+def brute_force_schedule(
+    instance: SchedulingInstance, max_jobs: int = 10, max_horizon: int = 20
+) -> Optional[Schedule]:
+    """Exhaustive search over integer start times; exact at desk scale."""
+    jobs = instance.jobs
+    if not jobs:
+        return Schedule({})
+    horizon = max(job.deadline for job in jobs)
+    if len(jobs) > max_jobs or horizon > max_horizon:
+        raise InstanceTooLarge(
+            f"{len(jobs)} jobs / horizon {horizon} exceed the brute-force guard "
+            f"({max_jobs} jobs, horizon {max_horizon})"
+        )
+    t = instance.machines
+    order = sorted(range(len(jobs)), key=lambda i: (jobs[i].arrival, jobs[i].deadline, jobs[i].id))
+    load = [0] * (horizon + 1)
+    starts: dict[str, int] = {}
+
+    def dfs(pos: int) -> bool:
+        if pos == len(order):
+            return True
+        job = jobs[order[pos]]
+        for s in range(job.arrival, job.deadline - job.processing + 1):
+            span = range(s, s + job.processing)
+            if all(load[x] < t for x in span):
+                for x in span:
+                    load[x] += 1
+                starts[job.id] = s
+                if dfs(pos + 1):
+                    return True
+                del starts[job.id]
+                for x in span:
+                    load[x] -= 1
+        return False
+
+    if not dfs(0):
+        return None
+    schedule = Schedule(_assign_machines(jobs, starts, t))
     check_schedule(instance, schedule)
     return schedule

@@ -21,6 +21,7 @@ from gen_helpers import (
     random_profile_2d,
     random_reduction_instance,
 )
+from scheduling_reference import brute_force_schedule
 from spatialvote import (
     Candidate,
     PartialSpatialProfile,
@@ -29,7 +30,6 @@ from spatialvote import (
     bisectors,
     brute_nw,
     brute_pw,
-    brute_force_schedule,
     enumerate_rankings_1d,
     enumerate_rankings_dd,
     feasible_equal_length,

@@ -472,6 +472,22 @@ class TestExitCodes:
         assert "randrange" not in error["message"]
 
     @pytest.mark.parametrize(
+        "generate, kwargs, message",
+        [
+            (generate_election, {"dimension": 2, "denominator": 0}, "denominator must be at least 1, got 0"),
+            (generate_election, {"dimension": 1, "denominator": -2}, "denominator must be at least 1, got -2"),
+            (generate_scheduling, {"max_processing": 0}, "max_processing must be at least 1, got 0"),
+        ],
+        ids=["denominator 0", "negative denominator", "max_processing 0"],
+    )
+    def test_generators_name_the_bad_parameter(self, generate, kwargs, message):
+        # library callers reach these parameters, which `gen` never sets
+        sizes = {"num_candidates": 3, "num_voters": 4} if generate is generate_election else {"num_jobs": 3}
+        with pytest.raises(ValueError) as info:
+            generate(1, **sizes, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(["--rule", "plurality"], id="flag before the command"),

@@ -22,7 +22,7 @@ from spatialvote import (
 from spatialvote import lfp
 from spatialvote.geometry import Face, Hyperplane, RankingWithWitness
 from spatialvote.lfp import InequalitySystem, LinearInequality
-from spatialvote.model import canonical_vector, winners_of_scores
+from spatialvote.model import canonical_vector, squared_distance, winners_of_scores
 from spatialvote.scheduling import Job, Schedule, SchedulingInstance
 
 
@@ -230,6 +230,14 @@ class TestScoreVectors:
         with pytest.raises(ValueError):
             ScoringRule.explicit((1, 2))
 
+    def test_weighted_veto_needs_a_beta(self):
+        with pytest.raises(ValueError, match="^weighted veto needs at least one beta$"):
+            ScoringRule.weighted_veto(3, ())
+
+    def test_needs_two_candidates(self):
+        with pytest.raises(RuleUndefinedAtM, match="^need at least two candidates$"):
+            realize_score_vector(ScoringRule.plurality(), 1)
+
 
 class TestRuleText:
     @pytest.mark.parametrize(
@@ -243,6 +251,49 @@ class TestRuleText:
     def test_bad_descriptors(self, text):
         with pytest.raises(ValueError):
             rule_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("approval:0", "bad rule descriptor 'approval:0': k-approval needs k >= 1"),
+            ("wveto:1", "bad rule descriptor 'wveto:1'"),
+            ("fkt:2:x", "bad rule descriptor 'fkt:2:x': invalid literal for int() with base 10: 'x'"),
+            ("vector:3,,0", "bad rule descriptor 'vector:3,,0': invalid literal for int() with base 10: ''"),
+        ],
+    )
+    def test_bad_descriptor_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            rule_from_text(text)
+        assert str(info.value) == message
+
+    def test_kind_without_text(self):
+        with pytest.raises(ValueError, match="has no textual form$"):
+            rule_to_text(ScoringRule("nosuch"))
+
+    # valid parameters of every rule kind: multi-digit values, several betas
+    # and long vectors, each list nonincreasing
+    NATURALS = st.lists(st.integers(0, 10**6), min_size=1, max_size=12).map(lambda xs: sorted(xs, reverse=True))
+    KINDS = {
+        "plurality": st.just(ScoringRule.plurality()),
+        "veto": st.just(ScoringRule.veto()),
+        "borda": st.just(ScoringRule.borda()),
+        "k-approval": st.builds(ScoringRule.k_approval, st.integers(1, 10**6)),
+        "k-veto": st.builds(ScoringRule.k_veto, st.integers(1, 10**6)),
+        "weighted-veto": st.builds(
+            lambda betas, gap: ScoringRule.weighted_veto(betas[0] + gap, betas), NATURALS, st.integers(1, 10**6)
+        ),
+        "fkt": st.builds(ScoringRule.fkt, st.integers(1, 10**6), st.integers(1, 10**6)),
+        "vector": st.builds(
+            lambda tail, gap: ScoringRule.explicit([tail[0] + gap] + tail), NATURALS, st.integers(1, 10**6)
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @given(data=st.data())
+    def test_text_round_trip_of_every_kind(self, kind, data):
+        rule = data.draw(self.KINDS[kind])
+        assert rule.kind == kind
+        assert rule_from_text(rule_to_text(rule)) == rule
 
 
 class TestRankings:
@@ -265,6 +316,14 @@ class TestRankings:
     def test_score_profile_rejects_non_permutations(self):
         with pytest.raises(ValueError):
             score_profile([(0, 0, 1)], ScoringRule.plurality())
+
+    def test_score_profile_needs_a_ranking(self):
+        with pytest.raises(ValueError, match="^need at least one ranking$"):
+            score_profile([], ScoringRule.plurality())
+
+    def test_squared_distance_needs_equal_lengths(self):
+        with pytest.raises(DimensionMismatch, match="^points of length 1 and 2$"):
+            squared_distance((0,), (0, 0))
 
 
 class TestCanonicalVector:

@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from gen_helpers import random_equal_length_instance, random_reduction_instance
-from scheduling_reference import reference_feasible_equal_length
+from scheduling_reference import brute_force_schedule, reference_feasible_equal_length
 from spatialvote import (
     Job,
     MixedProcessingTimes,
     SchedulingInstance,
     ScoringRule,
-    brute_force_schedule,
     brute_pw,
     feasible_equal_length,
     possible_winner,
@@ -211,6 +210,15 @@ class TestReduction:
         assert rule.kind == "k-approval" and rule.k == 3
         # one voter per job; no fillers needed with a single short job
         assert len(profile.voters) == 2
+
+    def test_unexpected_windows_are_rejected(self, monkeypatch):
+        # job "a" has two windows; its voter's last ranking is the only one
+        # that approves the second, so dropping it leaves one window
+        complete = scheduling.ranking_completions
+        monkeypatch.setattr(scheduling, "ranking_completions", lambda cands, bounds: complete(cands, bounds)[:-1])
+        instance = SchedulingInstance((Job("a", 1, 5, 3), Job("b", 1, 6, 2)), 1)
+        with pytest.raises(PreconditionViolated, match="^voter for job 'a' realizes unexpected approval windows$"):
+            reduce_scheduling_to_pw(instance, 3)
 
     def test_padding_job_id_avoids_existing_ids(self):
         # without a length-(k-1) job a padding job is added; "pad" is taken

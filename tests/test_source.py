@@ -18,6 +18,16 @@ def test_package_source_has_no_assert():
     assert found == []
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10, so no file may use later
+    # syntax such as `except*` or PEP 695 type parameters
+    root = SRC.parent.parent
+    files = sorted(path for folder in ("src", "tests", "perfbench") for path in (root / folder).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _package_imports(path: Path) -> set[str]:
     """The package modules that one source file imports."""
     found = set()
