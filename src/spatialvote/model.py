@@ -255,13 +255,23 @@ _DESCRIPTORS = {
 _LISTS = ("betas", "vector")
 
 
+def _number(text: str) -> int:
+    """The integer `text` spells in canonical form: no sign but a leading
+    minus, no leading zeros, spaces or underscores, so printing it back
+    gives `text` again."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return value
+
+
 def rule_from_text(text: str) -> ScoringRule:
     """Parse a textual rule descriptor such as ``approval:2`` or ``fkt:2:1``."""
     name, *params = text.split(":")
     for entry, make, fields in _DESCRIPTORS.values():
         if (entry, len(fields)) == (name, len(params)):
             try:
-                return make(*([int(x) for x in p.split(",")] if f in _LISTS else int(p) for f, p in zip(fields, params)))
+                return make(*([_number(x) for x in p.split(",")] if f in _LISTS else _number(p) for f, p in zip(fields, params)))
             except ValueError as exc:
                 raise ValueError(f"bad rule descriptor {text!r}: {exc}") from exc
     raise ValueError(f"bad rule descriptor {text!r}")

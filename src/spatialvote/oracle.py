@@ -10,7 +10,11 @@ contribute), and the possible and necessary winners are the union and
 intersection of the winner sets of those totals.  Each score vector is one
 packed `int` with a fixed-width bit field per candidate, wide enough that
 no field carries into the next, so a step adds plain integers; every
-reached total is unpacked once, after the fold.  The guard bounds the work
+reached total is read once, after the fold.  When every total fits in a
+byte per candidate, the fields are bytes and each total's winners are read
+at C speed: `int.to_bytes` gives its fields, `max` its top score and
+`bytes.translate` its 0/1 winner pattern.  Wider totals are unpacked field
+by field with shifts and masks.  The guard bounds the work
 the fold does: before each voter's step, the number of (total,
 contribution) pairs that step would combine, which packing leaves unchanged.
 """
@@ -41,11 +45,18 @@ def _score_choices(profile: PartialSpatialProfile, rule: ScoringRule) -> tuple[l
     adding packed values adds every field on its own and nothing carries
     into the next.  Each distinct contribution is one distinct `int`, so the
     fold's reached sets, and the guard's counts, are those of the per-
-    candidate tuples.
+    candidate tuples, whatever w is.
+
+    w is 8 whenever n * vec[0] < 256, so `_winner_sets` can read each total
+    as one byte per candidate; otherwise w is the bit length of n * vec[0].
+    `bytes.translate` reads one-byte fields only, so larger totals, up to
+    explicit vectors with scores such as 2**70, keep the shift-and-mask
+    unpack.
     """
     lists = completion_lists(profile)
     vec = realize_score_vector(rule, profile.num_candidates)
-    width = max(1, (len(lists) * vec[0]).bit_length())
+    bits = max(1, (len(lists) * vec[0]).bit_length())
+    width = 8 if bits <= 8 else bits
     choices = [
         {sum(vec[pos] << (cand * width) for pos, cand in enumerate(rw.ranking)) for rw in lst}
         for lst in lists
@@ -63,11 +74,19 @@ def _winner_sets(
     for contribs in choices:
         _check_guard(len(reachable) * len(contribs), guard, "score-total pairs in one voter step")
         reachable = {t + c for t in reachable for c in contribs}
-    mask = (1 << width) - 1
-    shifts = range(0, m * width, width)
+    if width == 8:
+        # eq[mx] maps byte mx to 1 and every other byte to 0, so translating
+        # a total's bytes by the table of its largest byte gives its winners'
+        # 0/1 pattern; built here, not at import, so other commands skip it
+        eq = [bytes(mx) + b"\1" + bytes(255 - mx) for mx in range(256)]
+        patterns = {(b := t.to_bytes(m, "little")).translate(eq[max(b)]) for t in reachable}
+        winner_sets = (frozenset(c for c, hit in enumerate(p) if hit) for p in patterns)
+    else:
+        mask = (1 << width) - 1
+        shifts = range(0, m * width, width)
+        winner_sets = (winners_of_scores([(t >> s) & mask for s in shifts]) for t in reachable)
     union, inter = frozenset(), frozenset(range(m))
-    for total in reachable:
-        winners = winners_of_scores([(total >> s) & mask for s in shifts])
+    for winners in winner_sets:
         union |= winners
         inter &= winners
     return union, inter

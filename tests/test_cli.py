@@ -308,7 +308,12 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "RuleUndefinedAtM"
 
-    @pytest.mark.parametrize("rule", ["approval:0", "kveto:0", "fkt:0:1", "vector:5", "vector:2,-1", "wveto:3:-1"])
+    @pytest.mark.parametrize(
+        "rule",
+        ["approval:0", "kveto:0", "fkt:0:1", "vector:5", "vector:2,-1", "wveto:3:-1"]
+        # numbers spelled other than as the descriptor prints them
+        + ["approval:1_0", "approval: 2", "fkt:+2:1", "vector:3, 1,0", "approval:02", "vector:2,-0"],
+    )
     def test_rule_parameters_out_of_range(self, capsys, rule):
         code, out, err = run(capsys, "pw", "--instance", ELECTION, "--rule", rule)
         assert code == 1 and out == ""

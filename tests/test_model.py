@@ -22,7 +22,7 @@ from spatialvote import (
 from spatialvote import lfp
 from spatialvote.geometry import Face, Hyperplane, RankingWithWitness
 from spatialvote.lfp import InequalitySystem, LinearInequality
-from spatialvote.model import canonical_vector, squared_distance, winners_of_scores
+from spatialvote.model import _DESCRIPTORS, _LISTS, canonical_vector, squared_distance, winners_of_scores
 from spatialvote.scheduling import Job, Schedule, SchedulingInstance
 
 
@@ -259,6 +259,12 @@ class TestRuleText:
             ("wveto:1", "bad rule descriptor 'wveto:1'"),
             ("fkt:2:x", "bad rule descriptor 'fkt:2:x': invalid literal for int() with base 10: 'x'"),
             ("vector:3,,0", "bad rule descriptor 'vector:3,,0': invalid literal for int() with base 10: ''"),
+            ("approval:1_0", "bad rule descriptor 'approval:1_0': '1_0' is not a canonical integer"),
+            ("approval: 2", "bad rule descriptor 'approval: 2': ' 2' is not a canonical integer"),
+            ("fkt:+2:1", "bad rule descriptor 'fkt:+2:1': '+2' is not a canonical integer"),
+            ("vector:3, 1,0", "bad rule descriptor 'vector:3, 1,0': ' 1' is not a canonical integer"),
+            ("approval:02", "bad rule descriptor 'approval:02': '02' is not a canonical integer"),
+            ("vector:2,-0", "bad rule descriptor 'vector:2,-0': '-0' is not a canonical integer"),
         ],
     )
     def test_bad_descriptor_messages(self, text, message):
@@ -294,6 +300,31 @@ class TestRuleText:
         rule = data.draw(self.KINDS[kind])
         assert rule.kind == kind
         assert rule_from_text(rule_to_text(rule)) == rule
+
+    # one number as a user might type it: canonical, or with a sign, a
+    # leading zero, an underscore or a space
+    SPELLINGS = st.builds(
+        "{}{}{}{}".format,
+        st.sampled_from(["", "", " "]),
+        st.sampled_from(["", "", "+", "-"]),
+        st.sampled_from(["", "", "0"]),
+        st.sampled_from(["0", "1", "2", "9", "10", "1_0"]),
+    )
+
+    @pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+    @given(data=st.data())
+    def test_accepted_text_round_trips(self, kind, data):
+        name, _, fields = _DESCRIPTORS[kind]
+        params = [
+            data.draw(st.lists(self.SPELLINGS, min_size=1, max_size=3).map(",".join) if f in _LISTS else self.SPELLINGS)
+            for f in fields
+        ]
+        text = ":".join([name, *params])
+        try:
+            rule = rule_from_text(text)
+        except ValueError:
+            return
+        assert rule_to_text(rule) == text
 
 
 class TestRankings:

@@ -22,6 +22,8 @@ from spatialvote import (
     realize_score_vector,
     winners_of_rankings,
 )
+from spatialvote.cli import generate_election
+from spatialvote.model import winners_of_scores
 
 
 def line_profile(positions, boxes):
@@ -195,3 +197,65 @@ class TestMatchesReference:
             for guard in guards:
                 expected = outcome(reference_winner_sets, profile, rule, guard)
                 assert outcome(oracle._winner_sets, profile, rule, guard) == expected
+
+
+def short_box_profile(seed: int, m: int, n: int):
+    """m candidates at 0, 2, ..., 2m - 2 and n voters with integer boxes, a
+    quarter of them one unit long and the rest points, so each voter has
+    one or two completions and the fold stays small at fifty voters."""
+    rng = random.Random(seed)
+    starts = [rng.randint(0, 2 * m - 3) for _ in range(n)]
+    return line_profile(range(0, 2 * m, 2), [(a, a + (rng.random() < 0.25)) for a in starts])
+
+
+def wide_path_calls(monkeypatch) -> list:
+    """Record every total the wide path unpacks; the byte path unpacks none."""
+    calls = []
+
+    def spy(scores):
+        calls.append(scores)
+        return winners_of_scores(scores)
+
+    monkeypatch.setattr(oracle, "winners_of_scores", spy)
+    return calls
+
+
+class TestByteFields:
+    """Totals below 256 per candidate are read one byte per candidate; the
+    byte path and the shift-and-mask path agree with the tuple fold on
+    either side of that bound, guards included."""
+
+    @pytest.mark.parametrize(
+        "rule, m, n, width",
+        [
+            (ScoringRule.explicit((255, 0)), 2, 1, 8),
+            (ScoringRule.explicit((128, 0)), 2, 2, 9),
+            (ScoringRule.borda(), 6, 51, 8),
+            (ScoringRule.borda(), 6, 52, 9),
+        ],
+        ids=["255x1", "128x2", "borda-51", "borda-52"],
+    )
+    def test_either_side_of_one_byte(self, monkeypatch, rule, m, n, width):
+        assert (n * realize_score_vector(rule, m)[0] < 256) == (width == 8)
+        for seed in range(3):
+            profile = short_box_profile(seed, m, n)
+            assert oracle._score_choices(profile, rule)[1] == width
+            calls = wide_path_calls(monkeypatch)
+            assert oracle._winner_sets(profile, rule, oracle.DEFAULT_GUARD) == reference_winner_sets(
+                profile, rule, oracle.DEFAULT_GUARD
+            )
+            assert bool(calls) == (width > 8)
+            for guard in sorted({g for w in reference_step_works(profile, rule) for g in (w, w - 1)}):
+                expected = outcome(reference_winner_sets, profile, rule, guard)
+                assert outcome(oracle._winner_sets, profile, rule, guard) == expected
+
+    def test_benchmark_instance(self, monkeypatch):
+        # the oracle-1d benchmark's election: 6 candidates, 7 voters, Borda
+        profile = generate_election(4, 1, 6, 7)
+        rule = ScoringRule.borda()
+        union, inter = reference_winner_sets(profile, rule, oracle.DEFAULT_GUARD)
+        assert oracle._score_choices(profile, rule)[1] == 8
+        calls = wide_path_calls(monkeypatch)
+        assert brute_pw(profile, rule) == union
+        assert brute_nw(profile, rule) == inter
+        assert calls == []
