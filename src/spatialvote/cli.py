@@ -374,7 +374,7 @@ def _guard_value(args) -> int:
 _INSTANCE = ("--instance", str, ..., "path to an instance JSON document")
 _RULE = ("--rule", str, ..., "rule descriptor, e.g. plurality, approval:2, fkt:2:1")
 _CANDIDATE = ("--candidate", str, None, "restrict to a membership verdict for this candidate id")
-_GUARD = ("--guard", int, oracle.DEFAULT_GUARD, "oracle work guard per voter step")
+_GUARD = ("--guard", int, oracle.DEFAULT_GUARD, "oracle work guard on the whole fold")
 _FORMAT = ("--format", ("json", "text"), "text", "output format")
 COMMANDS = {
     "rankings": (cmd_rankings, "ranking completions per voter, with witnesses",

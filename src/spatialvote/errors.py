@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and the work guard that
 raises `InstanceTooLarge`."""
 
-#: The default bound on exhaustive work: an oracle fold step, the scheduler's memo, the reduction's check.
+#: The default bound on exhaustive work: the oracle's whole fold, the scheduler's memo, the reduction's check.
 DEFAULT_GUARD = 10**6
 
 

@@ -306,16 +306,14 @@ def enumerate_rankings_dd(
     pair's all-zero row, and every side that misses the box, are dropped
     first, since they split no face, and a box with one free coordinate is
     split as intervals by `_split_intervals`, without the LFP; neither
-    changes a face, a witness or their order.
+    changes a face, a witness or their order.  A point box keeps no row, so
+    its one face is lifted back to the point, again without the LFP.
     """
     d = box.dimension
     if any(len(c.position) != d for c in candidates):
         raise DimensionMismatch("candidates and box disagree on dimension")
     if d == 1:
         return enumerate_rankings_1d(candidates, box.bounds[0])
-    if box.is_degenerate():
-        point = tuple(lo for lo, _ in box.bounds)
-        return [RankingWithWitness(rank_from_point(point, candidates), point)]
 
     free = [i for i, (lo, hi) in enumerate(box.bounds) if lo < hi]
     fixed = {i: lo for i, (lo, hi) in enumerate(box.bounds) if lo == hi}
@@ -323,14 +321,16 @@ def enumerate_rankings_dd(
 
     def restrict(rows: Sequence[LinearInequality]) -> tuple[LinearInequality, ...]:
         # a row without free coefficients is constant over the box and splits
-        # nothing, and neither does a hyperplane that misses the box: over
-        # the box a.x ranges between the sums of min and of max a_i*lo_i, a_i*hi_i
+        # nothing (every row of a point box), so it is dropped unsubstituted;
+        # neither does a hyperplane that misses the box: over the box a.x
+        # ranges between the sums of min and of max a_i*lo_i, a_i*hi_i
         out = []
         for q in rows:
-            q = _restrict_to_free_dims(q, free, fixed)
-            spans = [(a * lo, a * hi) for a, (lo, hi) in zip(q.coeffs, free_bounds)]
-            if any(q.coeffs) and sum(map(min, spans)) <= q.constant <= sum(map(max, spans)):
-                out.append(q)
+            if any(q.coeffs[i] for i in free):
+                q = _restrict_to_free_dims(q, free, fixed)
+                spans = [(a * lo, a * hi) for a, (lo, hi) in zip(q.coeffs, free_bounds)]
+                if sum(map(min, spans)) <= q.constant <= sum(map(max, spans)):
+                    out.append(q)
         return tuple(out)
 
     rows = _precedence_rows(tuple(candidates))

@@ -64,10 +64,6 @@ class VoterBox(namedtuple("VoterBox", "id bounds")):
     def dimension(self) -> int:
         return len(self.bounds)
 
-    def is_degenerate(self) -> bool:
-        """True when the box is a single point."""
-        return all(lo == hi for lo, hi in self.bounds)
-
 
 #: A strict total order over candidates, best first, as a tuple of indices.
 Ranking = tuple[int, ...]

@@ -14,9 +14,9 @@ reached total is read once, after the fold.  When every total fits in a
 byte per candidate, the fields are bytes and each total's winners are read
 at C speed: `int.to_bytes` gives its fields, `max` its top score and
 `bytes.translate` its 0/1 winner pattern.  Wider totals are unpacked field
-by field with shifts and masks.  The guard bounds the work
-the fold does: before each voter's step, the number of (total,
-contribution) pairs that step would combine, which packing leaves unchanged.
+by field with shifts and masks.  The guard bounds the whole fold's work:
+before each voter's step, the (total, contribution) pairs of every step so
+far, that one included, a count that packing leaves unchanged.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ def _winner_sets(
     """(union, intersection) of the winner sets over every completion."""
     m = profile.num_candidates
     choices, width = _score_choices(profile, rule)
-    reachable = {0}
+    reachable, work = {0}, 0
     for contribs in choices:
-        _check_guard(len(reachable) * len(contribs), guard, "score-total pairs in one voter step")
+        work += len(reachable) * len(contribs)
+        _check_guard(work, guard, "score-total pairs in the fold")
         reachable = {t + c for t in reachable for c in contribs}
     if width == 8:
         # eq[mx] maps byte mx to 1 and every other byte to 0, so translating

@@ -101,8 +101,9 @@ def _assign_machines(
     return assignments
 
 
-def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Schedule]:
-    """Feasibility for jobs that all share processing time p.
+def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
+    """Feasibility of `instance`, the one argument, whose jobs must all share
+    the first job's length p (MixedProcessingTimes otherwise).
 
     Earliest-deadline-first over integer time with backtracking: whenever a
     machine is free and jobs are available, either the available job with the
@@ -122,11 +123,12 @@ def feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Sche
     memoize more failed states than the default work guard allows.
     """
     jobs = instance.jobs
+    if not jobs:
+        return Schedule({})
+    p = jobs[0].processing
     for job in jobs:
         if job.processing != p:
             raise MixedProcessingTimes(f"job {job.id!r} has length {job.processing}, expected {p}")
-    if not jobs:
-        return Schedule({})
     if any(job.arrival > job.deadline - p for job in jobs):
         return None
 

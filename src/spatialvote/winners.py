@@ -220,7 +220,7 @@ def _schedulable(windows: Counter[tuple[int, int]], k: int, c: int) -> bool:
     if supporters == 0:
         return not windows
     instance = SchedulingInstance(tuple(jobs), machines=supporters)
-    return feasible_equal_length(instance, k) is not None
+    return feasible_equal_length(instance) is not None
 
 
 def pw_two_valued_1d(

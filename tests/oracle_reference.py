@@ -63,10 +63,12 @@ def fold_winner_sets(
     choices: Sequence[Sequence[tuple[int, ...]]], m: int, guard: int = DEFAULT_GUARD
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(union, intersection) of the winner sets over every way of adding
-    one contribution per voter."""
-    reachable = {(0,) * m}
+    one contribution per voter; raises InstanceTooLarge once the (total,
+    contribution) pairs of all steps so far pass the guard."""
+    reachable, work = {(0,) * m}, 0
     for contribs in choices:
-        _check_guard(len(reachable) * len(contribs), guard, "score-total pairs in one voter step")
+        work += len(reachable) * len(contribs)
+        _check_guard(work, guard, "score-total pairs in the fold")
         reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
     union, inter = frozenset(), frozenset(range(m))
     for totals in reachable:

@@ -58,7 +58,7 @@ def reference_enumerate_rankings_dd(
     """All distinct ranking completions of a box in d >= 2, sorted by ranking,
     each with the witness of the first face that induces it."""
     d = box.dimension
-    if box.is_degenerate():
+    if all(lo == hi for lo, hi in box.bounds):
         point = tuple(lo for lo, _ in box.bounds)
         return [RankingWithWitness(rank_from_point(point, candidates), point)]
     free = [i for i, (lo, hi) in enumerate(box.bounds) if lo < hi]

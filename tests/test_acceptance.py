@@ -200,8 +200,8 @@ def test_c7_equal_length_scheduling(capsys):
     with report(capsys, 7, "equal-length scheduler matches exhaustive search, 500 instances", 60.0):
         rng = random.Random(1007)
         for _ in range(500):
-            instance, p = random_equal_length_instance(rng)
-            fast = feasible_equal_length(instance, p)
+            instance, _ = random_equal_length_instance(rng)
+            fast = feasible_equal_length(instance)
             slow = brute_force_schedule(instance, max_jobs=6, max_horizon=12)
             assert (fast is None) == (slow is None)
             if fast is not None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from spatialvote import scheduling
+from spatialvote import Candidate, PartialSpatialProfile, VoterBox, scheduling
 from spatialvote.cli import (
     _describe,
     _rational,
@@ -369,6 +369,15 @@ class TestExitCodes:
             assert out == ""
             error = json.loads(err)["error"]
             assert error["type"] == ("InstanceTooLarge" if code == 2 else "InvalidInstance")
+
+    def test_oracle_guard_bounds_the_whole_fold(self, capsys, tmp_path):
+        # each voter step stays under the default guard; the fold does not
+        candidates = tuple(Candidate(f"c{i}", (10 * i,)) for i in range(4))
+        voters = tuple(VoterBox(f"v{i}", ((0, 15),)) for i in range(1500))
+        path = write_doc(tmp_path, election_to_document(PartialSpatialProfile(1, candidates, voters)))
+        code, out, err = run(capsys, "oracle", "pw", "--instance", path, "--rule", "borda")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InstanceTooLarge"
 
     def test_scheduler_guard_exits_2(self, capsys, tmp_path, monkeypatch):
         # The equal-length scheduler memoizes 128 failed states on this

@@ -370,22 +370,32 @@ def split_case(rng):
     return candidates, bounds, features
 
 
+def point_box(candidates, bounds):
+    """The point box at the low corner of `bounds`, and its features."""
+    coincident = len({c.position for c in candidates}) < len(candidates)
+    features = {f"0 free of d={len(bounds)}"} | ({f"coincident, d={len(bounds)}"} if coincident else set())
+    return VoterBox("v", tuple((lo, lo) for lo, _ in bounds)), features
+
+
 class TestSplitShortcuts:
-    """Interval faces for one free coordinate and dropped bisectors that miss
-    the box must give exactly the LFP-only enumeration, witnesses included,
-    without calling the LFP where they apply."""
+    """Interval faces for one free coordinate, point boxes with none, and
+    dropped bisectors that miss the box must give exactly the LFP-only
+    enumeration, witnesses included, without calling the LFP where they
+    apply."""
 
     def test_matches_lfp_reference(self):
         rng = random.Random(1806)
         seen = set()
         for _ in range(300):
             candidates, bounds, features = split_case(rng)
-            seen |= features
-            box = VoterBox("v", bounds)
-            assert repr(enumerate_rankings_dd(candidates, box)) == repr(
-                reference_enumerate_rankings_dd(candidates, box)
-            )
-        wanted = {f"{k} free of d={d}" for d in (2, 3) for k in range(1, d + 1)}
+            point, point_features = point_box(candidates, bounds)
+            seen |= features | point_features
+            for box in (VoterBox("v", bounds), point):
+                assert repr(enumerate_rankings_dd(candidates, box)) == repr(
+                    reference_enumerate_rankings_dd(candidates, box)
+                )
+        wanted = {f"{k} free of d={d}" for d in (2, 3) for k in range(d + 1)}
+        wanted |= {f"coincident, d={d}" for d in (2, 3)}
         assert wanted | {"coincident", "missed", "touched"} <= seen
 
     @settings(max_examples=150, deadline=None)
@@ -433,12 +443,16 @@ class TestSplitShortcuts:
 
     def test_no_lfp_where_the_split_is_decided_without_it(self, monkeypatch):
         rng = random.Random(1807)
-        segments = []
+        segments, points, seen = [], [], set()
         while len(segments) < 40:
             candidates, bounds, features = split_case(rng)
             if any(f.startswith("1 free") for f in features):
                 box = VoterBox("v", bounds)
                 segments.append((candidates, box, reference_enumerate_rankings_dd(candidates, box)))
+            point, point_features = point_box(candidates, bounds)
+            points.append((candidates, point, reference_enumerate_rankings_dd(candidates, point)))
+            seen |= point_features
+        assert {f"coincident, d={d}" for d in (2, 3)} <= seen
         # every bisector misses the box [-1, -1/2] x [-3, -2]
         between = (Candidate("a", (0, 0)), Candidate("b", (4, 0)), Candidate("c", (0, 4)))
         missed = VoterBox("v", ((Fraction(-1), Fraction(-1, 2)), (Fraction(-3), Fraction(-2))))
@@ -450,7 +464,7 @@ class TestSplitShortcuts:
             raise AssertionError("the LFP was called")
 
         monkeypatch.setattr(geometry, "feasible", refuse)
-        for candidates, box, expected in segments:
+        for candidates, box, expected in segments + points:
             assert repr(enumerate_rankings_dd(candidates, box)) == repr(expected)
         assert [rw.ranking for rw in enumerate_rankings_dd(between, missed)] == [(0, 1, 2)]
         # `_validate_reduction` checks every job voter's approval windows

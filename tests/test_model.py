@@ -48,10 +48,6 @@ class TestDomainTypes:
         with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as a rational$"):
             Candidate("a", (1, 0.5))
 
-    def test_degenerate_box(self):
-        assert VoterBox("v", ((1, 1), (2, 2))).is_degenerate()
-        assert not VoterBox("v", ((1, 2),)).is_degenerate()
-
     def test_profile_sorts_candidates_in_1d(self):
         profile = PartialSpatialProfile(
             1,

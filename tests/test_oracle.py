@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -67,28 +68,41 @@ class TestEnumeration:
             brute_pw(profile, ScoringRule.plurality(), guard=10)
 
     @pytest.mark.parametrize(
-        "rule, boxes, step_work",
+        "rule, boxes, fold_work",
         [
-            (ScoringRule.plurality(), [(0, 5)] * 4, 336),
-            (ScoringRule.borda(), [(0, 3), (2, 5), (0, 5), (1, 4)], 1330),
+            # steps of 6 + 36 + 126 + 336 pairs
+            (ScoringRule.plurality(), [(0, 5)] * 4, 504),
+            # steps of 6 + 42 + 390 + 1330 pairs
+            (ScoringRule.borda(), [(0, 3), (2, 5), (0, 5), (1, 4)], 1768),
         ],
         ids=["plurality", "borda"],
     )
-    def test_guard_counts_fold_work(self, rule, boxes, step_work):
-        # 10,000 and 2,940 completions: the product guard would reject both
+    def test_guard_counts_fold_work(self, rule, boxes, fold_work):
+        # the guard bounds the pairs of all steps together; 10,000 and 2,940
+        # completions: the product guard would reject both
         profile = line_profile(list(range(6)), boxes)
         with pytest.raises(InstanceTooLarge):
-            list(enumerate_completions(profile, guard=step_work))
+            list(enumerate_completions(profile, guard=fold_work))
         union: set[int] = set()
         inter = set(range(6))
         for rankings in enumerate_completions(profile, guard=10**4):
             w = winners_of_rankings(list(rankings), rule)
             union |= w
             inter &= w
-        assert brute_pw(profile, rule, guard=step_work) == frozenset(union)
-        assert brute_nw(profile, rule, guard=step_work) == frozenset(inter)
-        with pytest.raises(InstanceTooLarge):
-            brute_pw(profile, rule, guard=step_work - 1)
+        assert brute_pw(profile, rule, guard=fold_work) == frozenset(union)
+        assert brute_nw(profile, rule, guard=fold_work) == frozenset(inter)
+        with pytest.raises(InstanceTooLarge, match=f"^{fold_work} score-total pairs in the fold"):
+            brute_pw(profile, rule, guard=fold_work - 1)
+
+    def test_guard_bounds_a_slowly_growing_fold(self):
+        # n equal boxes reach about n**2 / 2 totals, so each step stays far
+        # under the guard while all steps together grow as n**3; a guard per
+        # step let this fold run for a minute
+        profile = line_profile([0, 10, 20, 30], [(0, 15)] * 1500)
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="^1000125 score-total pairs in the fold exceed the guard of 1000000$"):
+            brute_pw(profile, ScoringRule.borda())
+        assert time.perf_counter() - start < 1
 
 
 class TestWinnerSets:
@@ -159,14 +173,15 @@ def random_rule(rng: random.Random, m: int) -> ScoringRule:
     )
 
 
-def reference_step_works(profile, rule) -> list[int]:
-    """The (total, contribution) pairs each voter step of the reference fold combines."""
+def reference_fold_works(profile, rule) -> list[int]:
+    """After each voter step of the reference fold, the (total, contribution)
+    pairs it has combined so far: the values its guard is checked against."""
     reachable = {(0,) * profile.num_candidates}
-    works = []
+    works = [0]
     for contribs in reference_score_choices(profile, rule):
-        works.append(len(reachable) * len(contribs))
+        works.append(works[-1] + len(reachable) * len(contribs))
         reachable = {tuple(a + b for a, b in zip(t, c)) for t in reachable for c in contribs}
-    return works
+    return works[1:]
 
 
 def outcome(fn, *args):
@@ -193,7 +208,7 @@ class TestMatchesReference:
             rule = random_rule(rng, m)
             guards = [oracle.DEFAULT_GUARD]
             if outcome(realize_score_vector, rule, m) is not RuleUndefinedAtM:
-                guards += [g for w in reference_step_works(profile, rule) for g in (w, w - 1)]
+                guards += [g for w in reference_fold_works(profile, rule) for g in (w, w - 1)]
             for guard in guards:
                 expected = outcome(reference_winner_sets, profile, rule, guard)
                 assert outcome(oracle._winner_sets, profile, rule, guard) == expected
@@ -245,7 +260,7 @@ class TestByteFields:
                 profile, rule, oracle.DEFAULT_GUARD
             )
             assert bool(calls) == (width > 8)
-            for guard in sorted({g for w in reference_step_works(profile, rule) for g in (w, w - 1)}):
+            for guard in sorted({g for w in reference_fold_works(profile, rule) for g in (w, w - 1)}):
                 expected = outcome(reference_winner_sets, profile, rule, guard)
                 assert outcome(oracle._winner_sets, profile, rule, guard) == expected
 

@@ -50,29 +50,29 @@ class TestJobs:
 
 class TestEqualLengthSolver:
     def test_trivial_cases(self):
-        assert feasible_equal_length(SchedulingInstance((), 1), 2) is not None
+        assert feasible_equal_length(SchedulingInstance((), 1)) is not None
         tight = SchedulingInstance((Job("a", 1, 3, 2),), 1)
-        assert feasible_equal_length(tight, 2) is not None
+        assert feasible_equal_length(tight) is not None
         impossible = SchedulingInstance((Job("a", 1, 2, 2),), 1)
-        assert feasible_equal_length(impossible, 2) is None
+        assert feasible_equal_length(impossible) is None
 
     def test_rejects_mixed_lengths(self):
         instance = SchedulingInstance((Job("a", 1, 4, 2), Job("b", 1, 4, 3)), 1)
-        with pytest.raises(MixedProcessingTimes):
-            feasible_equal_length(instance, 2)
+        with pytest.raises(MixedProcessingTimes, match="^job 'b' has length 3, expected 2$"):
+            feasible_equal_length(instance)
 
     def test_requires_idling(self):
         # Starting the earliest-arriving job immediately blocks the tighter
         # one; the machine has to stay idle at time 1.
         instance = SchedulingInstance((Job("a", 1, 6, 2), Job("b", 2, 4, 2)), 1)
-        schedule = feasible_equal_length(instance, 2)
+        schedule = feasible_equal_length(instance)
         assert schedule is not None
         assert schedule.assignments["b"][0] == 2
 
     def test_multiple_machines(self):
         jobs = tuple(Job(f"j{i}", 1, 3, 2) for i in range(3))
-        assert feasible_equal_length(SchedulingInstance(jobs, 3), 2) is not None
-        assert feasible_equal_length(SchedulingInstance(jobs, 2), 2) is None
+        assert feasible_equal_length(SchedulingInstance(jobs, 3)) is not None
+        assert feasible_equal_length(SchedulingInstance(jobs, 2)) is None
 
     def test_memo_guard(self, monkeypatch):
         # Infeasible only after backtracking: the search memoizes 13 failed
@@ -81,16 +81,16 @@ class TestEqualLengthSolver:
         jobs = tuple(Job(f"j{i + 1}", a, d, 3) for i, (a, d) in enumerate(times))
         instance = SchedulingInstance(jobs, 1)
         monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 13)
-        assert feasible_equal_length(instance, 3) is None
+        assert feasible_equal_length(instance) is None
         monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 12)
         with pytest.raises(InstanceTooLarge, match="13 memoized failed scheduler states"):
-            feasible_equal_length(instance, 3)
+            feasible_equal_length(instance)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(17)
         for _ in range(200):
-            instance, p = random_equal_length_instance(rng)
-            fast = feasible_equal_length(instance, p)
+            instance, _ = random_equal_length_instance(rng)
+            fast = feasible_equal_length(instance)
             slow = brute_force_schedule(instance, max_jobs=6, max_horizon=16)
             assert (fast is None) == (slow is None)
             if fast is not None:
@@ -99,7 +99,7 @@ class TestEqualLengthSolver:
 
 
 def assert_same_as_reference(instance, p):
-    fast = feasible_equal_length(instance, p)
+    fast = feasible_equal_length(instance)
     slow = reference_feasible_equal_length(instance, p)
     assert (fast is None) == (slow is None)
     if fast is not None:
@@ -121,16 +121,16 @@ class TestMatchesReference:
     def test_possible_winner_instances(self, monkeypatch):
         built = []
 
-        def record(instance, p):
-            built.append((instance, p))
-            return feasible_equal_length(instance, p)
+        def record(instance):
+            built.append(instance)
+            return feasible_equal_length(instance)
 
         monkeypatch.setattr(winners, "feasible_equal_length", record)
         profile = generate_election(6, 1, 8, 80, 8, 4)
         possible_winner(profile, ScoringRule.k_approval(3), range(8))
         assert len(built) == 8
-        for instance, p in built:
-            assert_same_as_reference(instance, p)
+        for instance in built:
+            assert_same_as_reference(instance, 3)
 
 
 class TestCheckSchedule:

@@ -539,8 +539,9 @@ class TestNecessaryWinner:
     def test_fieldwise_fold_matches_oracle_and_lead_loop(self):
         """Over 9,000+ seeded verdicts in d = 1 and 2, under every rule
         family, for range(m) and for every single candidate, the fieldwise
-        fold equals `brute_nw` where its guard allows and the per-(type, c,
-        rival) lead loop elsewhere; with no voter every candidate wins."""
+        fold equals `brute_nw` where its guard of 2,000 pairs over the whole
+        fold allows and the per-(type, c, rival) lead loop elsewhere; with no
+        voter every candidate wins."""
         rng = random.Random(2502)
         cases, kinds, type_sizes = 0, Counter(), set()
         for profile, rules in nw_cross_check_instances(rng):
