@@ -8,13 +8,21 @@ that the tests use as an oracle lives in `tests/scheduling_reference.py`.
 All times are integers.  A job with arrival a, deadline d, and processing
 time p must start at some integer s with a <= s <= d - p; a machine runs at
 most one job at a time, with jobs occupying the half-open interval [s, s+p).
+
+The solver's search state counts jobs instead of naming them: jobs of equal
+(deadline, arrival) are interchangeable, so it keeps one count of unstarted
+jobs per such class and one count of running jobs per end time, each a bit
+field of an int.  This is the earliest-deadline-first search over job sets
+with its states relabelled, so it visits and memoizes the same states; it
+is still exponential in the worst case, but a state's size no longer grows
+with the number of jobs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import accumulate
 from math import comb
 from operator import or_
@@ -27,12 +35,12 @@ from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox
 
 class Job(namedtuple("Job", "id arrival deadline processing")):
     """A job with a string `id` and positive integer `arrival`, `deadline`
-    and `processing` time."""
+    and `processing` time; a `bool` is not an integer here."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, arrival: int, deadline: int, processing: int) -> "Job":
-        if not (isinstance(arrival, int) and isinstance(deadline, int) and isinstance(processing, int)):
+        if not (type(arrival) is int and type(deadline) is int and type(processing) is int):
             raise ValueError(f"job {id!r}: times must be integers")
         if arrival < 1:
             raise ValueError(f"job {id!r}: arrival must be >= 1")
@@ -44,11 +52,14 @@ class Job(namedtuple("Job", "id arrival deadline processing")):
 
 
 class SchedulingInstance(namedtuple("SchedulingInstance", "jobs machines")):
-    """A tuple of `jobs` with distinct ids and the number of `machines`."""
+    """A tuple of `jobs` with distinct ids and the integer (not `bool`)
+    number of `machines`."""
 
     __slots__ = ()
 
     def __new__(cls, jobs: Sequence[Job], machines: int) -> "SchedulingInstance":
+        if type(machines) is not int:
+            raise ValueError("the number of machines must be an integer")
         if machines < 1:
             raise ValueError("need at least one machine")
         if len({j.id for j in jobs}) != len(jobs):
@@ -86,18 +97,28 @@ def check_schedule(instance: SchedulingInstance, schedule: Schedule) -> None:
 def _assign_machines(
     jobs: Sequence[Job], starts: dict[str, int], machines: int
 ) -> dict[str, tuple[int, int]]:
-    """Greedy interval coloring; succeeds whenever the overlap stays <= machines."""
-    free = [0] * machines
+    """Greedy interval coloring; succeeds whenever the overlap stays <= machines.
+
+    Jobs are taken in (start, id) order and each gets the lowest-numbered
+    machine that is free at its start.  A heap holds the freed machines and
+    another the busy ones by end time; machines never used yet are numbered
+    above every used one, so they are handed out from a counter."""
+    free: list[int] = []
+    busy: list[tuple[int, int]] = []  # (end, machine)
+    fresh = 0
     assignments = {}
     for job in sorted(jobs, key=lambda j: (starts[j.id], j.id)):
         start = starts[job.id]
-        for h in range(machines):
-            if free[h] <= start:
-                free[h] = start + job.processing
-                assignments[job.id] = (start, h)
-                break
+        while busy and busy[0][0] <= start:
+            heappush(free, heappop(busy)[1])
+        if free:
+            h = heappop(free)
+        elif fresh < machines:
+            h, fresh = fresh, fresh + 1
         else:  # pragma: no cover - caller guarantees bounded overlap
             raise SelfCheckFailed("machine assignment failed")
+        heappush(busy, (start + job.processing, h))
+        assignments[job.id] = (start, h)
     return assignments
 
 
@@ -110,17 +131,27 @@ def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
     earliest deadline starts now, or nothing starts at this time unit.  For
     equal-length jobs a standard exchange argument makes this complete.
 
-    Jobs are numbered in (deadline, arrival, id) order and the unstarted ones
-    are kept as an int bitmask, so its lowest set bit is the job with the
-    earliest latest start, and the lowest set bit of the jobs arrived by now
-    is the job EDF picks.  Every running job ends in (time, time + p], so a
-    search state is (time, the number of running jobs ending at each of
-    time + 1 .. time + p, bitmask), whose size does not grow with the number
-    of machines; failed states are memoized on it.  The search
-    runs on an explicit stack, one entry per state it branched from, so no
-    number of jobs meets Python's recursion limit.  Its cost is still
-    exponential in the worst case: it raises InstanceTooLarge once it would
-    memoize more failed states than the default work guard allows.
+    Jobs are numbered in (deadline, arrival, id) order, and jobs of equal
+    (deadline, arrival) form a class of consecutive numbers.  EDF starts the
+    lowest-numbered available job, so the started jobs of a class are always
+    a prefix of it.  So the unstarted jobs are one int `remaining` with a
+    W-bit field per class holding its unstarted count, W bits being enough
+    for the largest class: its lowest set bit lies in the class with the
+    earliest latest start, and the lowest set bit of its arrived fields in
+    the class EDF picks, both read from tables indexed by bit position.
+    Every running job ends in (time, time + p], so the running jobs are one
+    int `ends` with a field per end time time + 1 .. time + p, each wide
+    enough to count t jobs.  On the states the search reaches, (time, ends,
+    remaining) and (time, end times, set of unstarted jobs) determine each
+    other, so this search visits the same states in the same order as one
+    over job sets and memoizes the same failed ones, on a key whose size
+    grows with the number of classes, not of jobs.  The number of running
+    jobs and the index of the next arrival ride beside the state.
+
+    The search runs on an explicit stack, one entry per state it branched
+    from, so no number of jobs meets Python's recursion limit.  Its cost is
+    still exponential in the worst case: it raises InstanceTooLarge once it
+    would memoize more failed states than the default work guard allows.
     """
     jobs = instance.jobs
     if not jobs:
@@ -133,56 +164,84 @@ def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
         return None
 
     t = instance.machines
-    order = sorted(jobs, key=lambda job: (job.deadline, job.arrival, job.id))
-    latest = [job.deadline - p for job in order]
-    arrivals = sorted({job.arrival for job in jobs})
-    arriving = [0] * len(arrivals)
-    for bit, job in enumerate(order):
-        arriving[bisect_left(arrivals, job.arrival)] |= 1 << bit
-    arrived = list(accumulate(arriving, or_))  # jobs with arrival <= arrivals[i]
+    guard = DEFAULT_GUARD
+    classes: dict[tuple[int, int], list[str]] = {}
+    for job in sorted(jobs, key=lambda job: (job.deadline, job.arrival, job.id)):
+        classes.setdefault((job.deadline, job.arrival), []).append(job.id)
+    width = max(map(len, classes.values())).bit_length()
+    field = (1 << width) - 1
+    remaining = 0
+    latest_at: list[int] = []  # by bit position: the class's latest start
+    unit_at: list[int] = []  # by bit position: one job of the class
+    arriving: dict[int, int] = {}
+    for c, ((deadline, arrival), ids) in enumerate(classes.items()):
+        remaining |= len(ids) << (c * width)
+        latest_at += [deadline - p] * width
+        unit_at += [1 << (c * width)] * width
+        arriving[arrival] = arriving.get(arrival, 0) | field << (c * width)
+    arrivals = sorted(arriving)
+    arrived = [0, *accumulate(map(arriving.__getitem__, arrivals), or_)]  # classes arriving by arrivals[i - 1]
+    # time never passes the last deadline, so this sentinel is never reached
+    arrivals.append(max(job.deadline for job in jobs) + 1)
 
-    failed: set[tuple] = set()
-    stack: list[tuple] = []  # (state, job started from it or 0, state to try if that fails)
-    idle = (0,) * p
-    state = (arrivals[0], idle, arrived[-1])
-    while True:
-        time, ends, remaining = state
-        if not remaining:
-            break
-        if latest[(remaining & -remaining).bit_length() - 1] >= time and state not in failed:
-            idx = bisect_right(arrivals, time)
-            ready = remaining & arrived[idx - 1]
-            running = sum(ends)
+    slot = t.bit_length()  # bits per end time; at most t jobs end at one time
+    slot_mask = (1 << slot) - 1
+    newest = 1 << (slot * (p - 1))  # one job ending at time + p
+    ones = sum(1 << (slot * i) for i in range(p))
+    # (x * ones) >> (slot * (p - 1)) sums the fields of x: each partial sum
+    # is at most t, so no field carries into the next
+
+    failed: set[tuple[int, int, int]] = set()
+    # (state, class unit started from it or 0, running, idx); a nonzero unit
+    # means idling one unit from the state is still to be tried
+    stack: list[tuple] = []
+    time, ends, running, idx = arrivals[0], 0, 0, 1  # idx: arrivals[:idx] are <= time
+    while remaining:
+        state = (time, ends, remaining)
+        if latest_at[(remaining & -remaining).bit_length() - 1] >= time and state not in failed:
+            ready = remaining & arrived[idx]
             if ready and running < t:
                 # Start the EDF pick now, else idle one unit.  Every running
                 # job started by now, so time + p is the latest end time.
-                pick = ready & -ready
-                stack.append((state, pick, (time + 1, ends[1:] + (0,), remaining)))
-                state = (time, ends[:-1] + (ends[-1] + 1,), remaining ^ pick)
+                pick = unit_at[(ready & -ready).bit_length() - 1]
+                stack.append((state, pick, running, idx))
+                ends += newest
+                remaining -= pick
+                running += 1
                 continue
             # Nothing can start: jump to the next arrival, whose jobs are all
-            # pending, or, with every machine busy, the next end time,
-            # whichever comes first.
-            pending = remaining ^ ready
-            nxt = time + 1 + next(i for i, n in enumerate(ends) if n) if running else None
-            if pending:
-                nxt = arrivals[idx] if running < t else min(nxt, arrivals[idx])
-            shift = min(nxt - time, p)
-            stack.append((state, 0, None))
-            state = (nxt, ends[shift:] + idle[:shift], remaining)
+            # pending (no job arriving later than now has started), or, with
+            # every machine busy, the next end time, whichever comes first.
+            if running < t:
+                nxt = arrivals[idx]
+            else:
+                nxt = min(time + 1 + ((ends & -ends).bit_length() - 1) // slot, arrivals[idx])
+            stack.append((state, 0, 0, 0))
+            ends >>= slot * (nxt - time)
+            running = (ends * ones) >> (slot * (p - 1)) & slot_mask
+            time = nxt
+            if arrivals[idx] == time:
+                idx += 1
             continue
         while stack:
-            parent, pick, alternative = stack.pop()
-            if alternative is not None:
-                stack.append((parent, 0, None))
-                state = alternative
+            state, pick, running, idx = stack.pop()
+            if pick:
+                stack.append((state, 0, 0, 0))
+                time, ends, remaining = state
+                running -= ends & slot_mask
+                ends >>= slot
+                time += 1
+                if arrivals[idx] == time:
+                    idx += 1
                 break
-            failed.add(parent)
-            _check_guard(len(failed), DEFAULT_GUARD, "memoized failed scheduler states")
+            failed.add(state)
+            if len(failed) > guard:
+                _check_guard(len(failed), guard, "memoized failed scheduler states")
         else:
             return None
 
-    starts = {order[pick.bit_length() - 1].id: parent[0] for parent, pick, _ in stack if pick}
+    queues = [iter(ids) for ids in classes.values()]
+    starts = {next(queues[(pick.bit_length() - 1) // width]): state[0] for state, pick, _, _ in stack if pick}
     schedule = Schedule(_assign_machines(jobs, starts, t))
     check_schedule(instance, schedule)
     return schedule

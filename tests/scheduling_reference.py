@@ -1,4 +1,4 @@
-"""Reference schedulers kept as test oracles; the package imports neither.
+"""Reference schedulers kept as test oracles; the package imports none of them.
 
 `reference_feasible_equal_length` is the search
 `spatialvote.scheduling.feasible_equal_length` replaced: the same
@@ -9,14 +9,19 @@ schedules.
 
 `brute_force_schedule` tries every integer start time of every job, for any
 mix of processing times; it anchors acceptance criterion 7.
+
+`scan_assign_machines` is the machine assignment
+`spatialvote.scheduling._assign_machines` replaced: it scans every machine
+for every job.  Tests require the package's assignments to equal its
+assignments.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from spatialvote.errors import InstanceTooLarge, MixedProcessingTimes
-from spatialvote.scheduling import Schedule, SchedulingInstance, _assign_machines, check_schedule
+from spatialvote.errors import InstanceTooLarge, MixedProcessingTimes, SelfCheckFailed
+from spatialvote.scheduling import Job, Schedule, SchedulingInstance, _assign_machines, check_schedule
 
 
 def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Schedule]:
@@ -82,6 +87,25 @@ def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Opt
     schedule = Schedule(_assign_machines(jobs, by_id, t))
     check_schedule(instance, schedule)
     return schedule
+
+
+def scan_assign_machines(
+    jobs: Sequence[Job], starts: dict[str, int], machines: int
+) -> dict[str, tuple[int, int]]:
+    """Greedy interval coloring: jobs in (start, id) order, each on the
+    lowest-numbered machine free at its start."""
+    free = [0] * machines
+    assignments = {}
+    for job in sorted(jobs, key=lambda j: (starts[j.id], j.id)):
+        start = starts[job.id]
+        for h in range(machines):
+            if free[h] <= start:
+                free[h] = start + job.processing
+                assignments[job.id] = (start, h)
+                break
+        else:
+            raise SelfCheckFailed("machine assignment failed")
+    return assignments
 
 
 def brute_force_schedule(

@@ -3,17 +3,17 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from gen_helpers import random_equal_length_instance, random_reduction_instance
-from scheduling_reference import brute_force_schedule, reference_feasible_equal_length
+from scheduling_reference import brute_force_schedule, reference_feasible_equal_length, scan_assign_machines
 from spatialvote import (
     Job,
     MixedProcessingTimes,
     SchedulingInstance,
-    ScoringRule,
     brute_pw,
     feasible_equal_length,
     possible_winner,
@@ -23,7 +23,23 @@ from spatialvote import (
 )
 from spatialvote.cli import generate_election
 from spatialvote.errors import InstanceTooLarge, PreconditionViolated, SelfCheckFailed
-from spatialvote.scheduling import Schedule, check_schedule
+from spatialvote.model import rule_from_text
+from spatialvote.scheduling import Schedule, _assign_machines, check_schedule
+
+
+def possible_winner_instances(monkeypatch, text, candidates=range(8)):
+    """The scheduling instances `possible_winner` builds under the rule
+    `text` on approval-1d's profile, in the order it builds them."""
+    built = []
+
+    def record(instance):
+        built.append(instance)
+        return feasible_equal_length(instance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(winners, "feasible_equal_length", record)
+        possible_winner(generate_election(6, 1, 8, 80, 8, 4), rule_from_text(text), candidates)
+    return built
 
 
 class TestJobs:
@@ -39,6 +55,17 @@ class TestJobs:
                 Job("j", *times)
         with pytest.raises(TypeError):
             Job("j", 1, 4)
+
+    def test_rejects_booleans(self):
+        # `bool` is an `int` subclass; a document's true/false is not a time
+        for times in [(True, 4, 2), (1, True, 1), (1, 4, True)]:
+            with pytest.raises(ValueError, match="^job 'a': times must be integers$"):
+                Job("a", *times)
+
+    @pytest.mark.parametrize("machines", [2.5, True, "2", Fraction(2)], ids=["float", "bool", "str", "fraction"])
+    def test_machines_must_be_an_integer(self, machines):
+        with pytest.raises(ValueError, match="^the number of machines must be an integer$"):
+            SchedulingInstance((Job("a", 1, 4, 2),), machines)
 
     def test_unique_ids(self):
         twins = (Job("j", 1, 3, 1), Job("j", 1, 3, 1))
@@ -86,6 +113,45 @@ class TestEqualLengthSolver:
         with pytest.raises(InstanceTooLarge, match="13 memoized failed scheduler states"):
             feasible_equal_length(instance)
 
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            ("approval:3", [21, 7863, 0, 0, 0, 0, 16639, 57567]),
+            ("kveto:2", [54, 970, 0, 0, 0, 0, 1112, 201]),
+            ("fkt:3:1", [7863, 0, 0, 0, 0, 16639]),
+        ],
+    )
+    def test_failed_state_counts(self, monkeypatch, text, counts):
+        # Pins the search's work on approval-1d's instances: each memoizes
+        # exactly `count` failed states, so a guard of `count` lets it
+        # finish and one less stops it.
+        instances = possible_winner_instances(monkeypatch, text)
+        assert len(instances) == len(counts)
+        for instance, count in zip(instances, counts):
+            monkeypatch.setattr(scheduling, "DEFAULT_GUARD", count)
+            feasible_equal_length(instance)
+            if count:
+                monkeypatch.setattr(scheduling, "DEFAULT_GUARD", count - 1)
+                with pytest.raises(InstanceTooLarge, match=f"^{count} memoized failed scheduler states"):
+                    feasible_equal_length(instance)
+
+    def test_state_size_does_not_grow_with_copies(self, monkeypatch):
+        # A state holds one count per job class, so copying every job (and
+        # machine) 50 times adds a few bits per state, not 50 times the bits.
+        [instance] = possible_winner_instances(monkeypatch, "approval:3", [7])
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 20_000)
+        peaks = []
+        for copies in (1, 50):
+            jobs = tuple(Job(f"{job.id}_{c}", *job[1:]) for job in instance.jobs for c in range(copies))
+            tracemalloc.start()
+            try:
+                with pytest.raises(InstanceTooLarge, match="^20001 memoized failed scheduler states"):
+                    feasible_equal_length(SchedulingInstance(jobs, instance.machines * copies))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(17)
         for _ in range(200):
@@ -107,7 +173,7 @@ def assert_same_as_reference(instance, p):
 
 
 class TestMatchesReference:
-    """The bitmask search walks the reference's search tree in the same
+    """The class-count search walks the reference's search tree in the same
     order, so it must find the very same schedules."""
 
     def test_random_instances(self):
@@ -118,19 +184,49 @@ class TestMatchesReference:
             )
             assert_same_as_reference(instance, p)
 
+    def test_repeated_windows(self):
+        # few distinct (arrival, deadline) windows, each repeated, so that
+        # job classes hold many jobs, as in the possible-winner instances
+        rng = random.Random(41)
+        merged = 0
+        for _ in range(500):
+            p = rng.randint(1, 4)
+            jobs = []
+            for _ in range(rng.randint(1, 5)):
+                arrival = rng.randint(1, 6)
+                deadline = arrival + p + rng.randint(-1, 5)
+                for _ in range(rng.randint(1, 8)):
+                    jobs.append(Job(f"j{len(jobs)}", arrival, max(deadline, 1), p))
+            rng.shuffle(jobs)
+            merged += len({(job.arrival, job.deadline) for job in jobs}) < len(jobs)
+            assert_same_as_reference(SchedulingInstance(tuple(jobs), rng.randint(1, 10)), p)
+        assert merged > 400
+
     def test_possible_winner_instances(self, monkeypatch):
-        built = []
-
-        def record(instance):
-            built.append(instance)
-            return feasible_equal_length(instance)
-
-        monkeypatch.setattr(winners, "feasible_equal_length", record)
-        profile = generate_election(6, 1, 8, 80, 8, 4)
-        possible_winner(profile, ScoringRule.k_approval(3), range(8))
+        built = possible_winner_instances(monkeypatch, "approval:3")
         assert len(built) == 8
         for instance in built:
             assert_same_as_reference(instance, 3)
+
+
+class TestAssignMachines:
+    def test_matches_scan(self):
+        # random starts of mixed lengths, machines at least the peak overlap
+        rng = random.Random(53)
+        wide = 0
+        for trial in range(300):
+            jobs, starts = [], {}
+            for i in range(rng.randint(1, 60 if trial % 3 else 500)):
+                start, length = rng.randint(1, 30), rng.randint(1, 8)
+                jobs.append(Job(f"j{i}", start, start + length, length))
+                starts[f"j{i}"] = start
+            overlap = max(sum(s <= x < s + j.processing for j, s in zip(jobs, starts.values())) for x in range(1, 39))
+            machines = overlap + rng.randint(0, 3)
+            assert _assign_machines(jobs, starts, machines) == scan_assign_machines(jobs, starts, machines)
+            wide += overlap >= 50
+        assert wide > 50
+        with pytest.raises(SelfCheckFailed, match="^machine assignment failed$"):
+            _assign_machines(jobs, starts, overlap - 1)
 
 
 class TestCheckSchedule:
