@@ -9,24 +9,28 @@ sorted by id, identical invocations byte-identical.
 
 Exit codes: 0 success (also for -h/--help), 1 structured diagnostic (usage
 error, bad input, undefined rule, no polynomial algorithm without
---allow-exponential), 2 guard violation.
+--allow-exponential), 2 guard violation, 141 without a diagnostic when
+stdout closes early (as under `| head`; a shell's status for SIGPIPE).
+Integer flags take canonical decimals only: `+3`, `007`, `1_000` exit 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import sys
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Iterable, Optional, Sequence
 
 from . import oracle
 from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError, UsageError
 from .geometry import bisectors, ranking_completions, specify_faces
-from .model import Candidate, PartialSpatialProfile, VoterBox, rule_from_text, rule_to_text
+from .model import Candidate, PartialSpatialProfile, VoterBox, _number, rule_from_text, rule_to_text
 from .scheduling import Job, SchedulingInstance, reduce_scheduling_to_pw
 from .winners import necessary_winner, possible_winner
 
@@ -92,32 +96,48 @@ _BODIES = {
 }
 
 
-def _walk(schema: Any, value: Any, where: str) -> Any:
+def _where(path: Any) -> str:
+    """A field path that `_walk` carries as nested (parent, key) pairs, as text."""
+    if isinstance(path, str):
+        return path
+    return _where(path[0]) + (f".{path[1]}" if isinstance(path[1], str) else f"[{path[1]}]")
+
+
+class _Rationals(dict):
+    """One document's `_rational` of each distinct string; failures are not stored."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = _rational(text)
+        return value
+
+
+def _walk(schema: Any, value: Any, where: Any, rationals: _Rationals) -> Any:
     """Check `value` against `schema` and convert its leaves; the recursion
     follows the schema, so its depth does not depend on the input."""
     if isinstance(schema, dict):
         if not isinstance(value, dict):
-            raise InvalidInstance(f"{where}: expected an object, got {_describe(value)}")
+            raise InvalidInstance(f"{_where(where)}: expected an object, got {_describe(value)}")
         fields = {}
         for field, sub in schema.items():
             if field not in value:
-                raise InvalidInstance(f"{where}: missing field {field!r}")
-            fields[field] = _walk(sub, value[field], f"{where}.{field}")
+                raise InvalidInstance(f"{_where(where)}: missing field {field!r}")
+            fields[field] = _walk(sub, value[field], (where, field), rationals)
         return fields
     if isinstance(schema, (list, tuple)):
         if not isinstance(value, list) or (isinstance(schema, tuple) and len(value) != len(schema)):
             shape = "an array" if isinstance(schema, list) else f"an array of {len(schema)}"
-            raise InvalidInstance(f"{where}: expected {shape}, got {_describe(value)}")
+            raise InvalidInstance(f"{_where(where)}: expected {shape}, got {_describe(value)}")
         subs = schema * len(value) if isinstance(schema, list) else schema
-        return tuple(_walk(sub, item, f"{where}[{i}]") for i, (sub, item) in enumerate(zip(subs, value)))
-    try:
-        return schema(value)
+        return tuple(_walk(sub, item, (where, i), rationals) for i, (sub, item) in enumerate(zip(subs, value)))
+    try:  # only strings key the memo: `True == 1` would share 1's entry, and a list is unhashable
+        return rationals[value] if schema is _rational and type(value) is str else schema(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInstance(f"{where}: {exc}") from exc
+        raise InvalidInstance(f"{_where(where)}: {exc}") from exc
 
 
 def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
-    header = _walk(_HEADER, doc, "document")
+    rationals = _Rationals()
+    header = _walk(_HEADER, doc, "document", rationals)
     kind, version = header["kind"], header["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise InvalidInstance(f"document: unsupported schema_version {_describe(version)}")
@@ -125,7 +145,7 @@ def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
         raise InvalidInstance(f"document: unknown kind {_describe(kind)}")
     if kind == "election":
         doc = {"voters": [], **doc}
-    body = _walk(_BODIES[kind], doc, kind)
+    body = _walk(_BODIES[kind], doc, kind, rationals)
     try:
         if kind == "election":
             return PartialSpatialProfile(
@@ -266,12 +286,14 @@ def generate_scheduling(
 # ---------------------------------------------------------------------------
 
 
+def _write(text: str) -> None:
+    """Write `text` to stdout in 8 KiB pieces: one large write that a closed pipe
+    cuts short returns quietly, while the next piece raises `BrokenPipeError`."""
+    sys.stdout.writelines(text[i:i + 8192] for i in range(0, len(text), 8192))
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        sys.stdout.write(serialize(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    _write(serialize(payload) if args.format == "json" else "".join(line + "\n" for line in text_lines))
 
 
 def _emit_winners(args, profile: PartialSpatialProfile, members: Iterable[int]) -> None:
@@ -279,23 +301,48 @@ def _emit_winners(args, profile: PartialSpatialProfile, members: Iterable[int]) 
     _emit(args, {"winners": ids}, [" ".join(ids) if ids else "(none)"])
 
 
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """`items`, each already JSON text, in `brackets` ("[]" or "{}") laid out
+    as `json.dumps(..., indent=2)` lays out a container whose closing bracket
+    sits at `indent`."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
 def cmd_rankings(args) -> int:
+    """Each distinct box is looked up and written once; the JSON is `serialize`'s bytes
+    for {"rankings": {voter id: [{"ranking": [...], "witness": [...]}, ...]}}."""
     profile = _load(args.instance, "election")
     voters = profile.voters
     if args.voter is not None:
         voters = tuple(v for v in voters if v.id == args.voter)
         if not voters:
             raise InvalidInstance(f"no voter with id {args.voter!r}")
-    rankings = {}
-    for voter in voters:
-        rankings[voter.id] = [
-            {"ranking": [profile.candidates[i].id for i in rw.ranking], "witness": [str(x) for x in rw.witness]}
-            for rw in ranking_completions(profile.candidates, voter.bounds)
-        ]
-    lines = [] if args.format == "json" else [  # text only: in JSON mode they would be thrown away
-        f"{vid}: {' > '.join(e['ranking'])}  (at {', '.join(e['witness'])})" for vid, es in rankings.items() for e in es
-    ]
-    _emit(args, {"rankings": rankings}, lines)
+    completions = {b: ranking_completions(profile.candidates, b) for b in dict.fromkeys(v.bounds for v in voters)}
+    if args.format == "text":
+        ids = [c.id for c in profile.candidates]
+        tails = {
+            b: [f": {' > '.join(ids[i] for i in rw.ranking)}  (at {', '.join(map(str, rw.witness))})" for rw in rws]
+            for b, rws in completions.items()
+        }
+        _write("".join(f"{v.id}{tail}\n" for v in voters for tail in tails[v.bounds]))
+        return 0
+    quote = encode_basestring_ascii  # the escaping `json.dumps` gives every string
+    names = [quote(c.id) for c in profile.candidates]
+    lists = {
+        b: _json_block("[]", [
+            _json_block("{}", [
+                f'"ranking": {_json_block("[]", [names[i] for i in rw.ranking], " " * 8)}',
+                f'"witness": {_json_block("[]", [quote(str(x)) for x in rw.witness], " " * 8)}',
+            ], " " * 6)
+            for rw in rws
+        ], " " * 4)
+        for b, rws in completions.items()
+    }
+    entries = [f"{quote(v.id)}: {lists[v.bounds]}" for v in sorted(voters, key=lambda v: v.id)]
+    _write(_json_block("{}", [f'"rankings": {_json_block("{}", entries, "  ")}'], "") + "\n")
     return 0
 
 
@@ -332,7 +379,7 @@ def cmd_reduce_sched(args) -> int:
     instance = _load(args.instance, "scheduling")
     profile, target, rule = reduce_scheduling_to_pw(instance, args.k)
     doc = {**election_to_document(profile), "target_candidate": target, "rule": rule_to_text(rule)}
-    sys.stdout.write(serialize(doc))
+    _write(serialize(doc))
     return 0
 
 
@@ -341,10 +388,10 @@ def cmd_gen(args) -> int:
         profile = generate_election(
             args.seed, args.dimension, args.num_candidates, args.num_voters, args.coord_range
         )
-        sys.stdout.write(serialize(election_to_document(profile)))
+        _write(serialize(election_to_document(profile)))
     else:
         instance = generate_scheduling(args.seed, args.num_jobs, args.machines, args.horizon)
-        sys.stdout.write(serialize(scheduling_to_document(instance)))
+        _write(serialize(scheduling_to_document(instance)))
     return 0
 
 
@@ -433,8 +480,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
             text = next(tokens, "--")
             if text.startswith("--"):
                 raise UsageError(f"{command}: {flag} needs a value")
-        try:  # tuple.index and int() raise ValueError on a bad value
-            values[flag] = True if kind is bool else kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+        try:  # tuple.index and _number raise ValueError on a bad value
+            values[flag] = (
+                True if kind is bool else kind[kind.index(text)] if isinstance(kind, tuple)
+                else _number(text) if kind is int else text
+            )
         except ValueError:
             wanted = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else "an integer"
             raise UsageError(f"{command}: {flag} needs {wanted}, got {text!r}") from None
@@ -451,7 +501,12 @@ def _diagnostic(exc: Exception) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush then writes nowhere
+        return 141
     except InstanceTooLarge as exc:
         sys.stderr.write(_diagnostic(exc))
         return 2

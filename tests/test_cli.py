@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import random
@@ -8,7 +10,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankings_reference import reference_rankings_output
 from spatialvote import Candidate, PartialSpatialProfile, VoterBox, scheduling
 from spatialvote.cli import (
     _describe,
@@ -101,6 +106,26 @@ class TestDocuments:
         doc = json.loads(serialize(election_to_document(generate_election(1, 1, 3, 1))))
         mutate(doc)
         with pytest.raises(InvalidInstance, match=r"^(document|election|scheduling)\b"):
+            parse_document(doc)
+
+    def test_repeated_bad_bound_is_reported_at_its_first_voter(self):
+        doc = json.loads(serialize(election_to_document(generate_election(1, 1, 3, 4))))
+        for voter in doc["voters"][1:]:
+            voter["bounds"] = [["0", "1.5"]]
+        with pytest.raises(InvalidInstance) as info:
+            parse_document(doc)
+        _, message = parse_outcome(reference_rational, "1.5")
+        assert str(info.value) == f"election.voters[1].bounds[0][1]: {message}"
+
+    def test_equal_bound_strings_share_one_conversion(self):
+        doc = json.loads(serialize(election_to_document(generate_election(1, 1, 3, 3))))
+        for voter in doc["voters"]:
+            voter["bounds"] = [["1", "5/2"]]
+        profile = parse_document(doc)
+        assert len({id(x) for v in profile.voters for x in v.bounds[0]}) == 2
+        # a boolean never reads the entry of the equal integer string "1"
+        doc["voters"][2]["bounds"] = [[True, "5/2"]]
+        with pytest.raises(InvalidInstance, match=r"^election\.voters\[2\]\.bounds\[0\]\[0\]: .* got True$"):
             parse_document(doc)
 
 
@@ -276,7 +301,9 @@ class TestCommands:
         ranking_completions.cache_clear()
         code, out, _ = run(capsys, "rankings", "--instance", path, "--format", "json")
         info = ranking_completions.cache_info()
-        assert code == 0 and (info.misses, info.hits) == (1, 1)
+        # `rankings` looks up each distinct box once, so the second voter
+        # reuses the first one's entries without a second lookup.
+        assert code == 0 and (info.misses, info.hits) == (1, 0)
         rankings = json.loads(out)["rankings"]
         assert rankings["a"] == rankings["b"] and len(rankings["a"]) > 1
 
@@ -284,6 +311,79 @@ class TestCommands:
         code, out, _ = run(capsys, "faces", "--instance", ELECTION, "--format", "json")
         assert code == 0
         assert json.loads(out) == {"num_faces": 4, "num_hyperplanes": 3}
+
+
+# Quotes, backslashes, control characters and non-ASCII ones, astral too:
+# each is escaped by `json.dumps`.
+ESCAPED = '"\\\n\t\x00\x1f\u00e9\u20ac\u2028\U0001f600'
+IDS = st.text(alphabet=st.one_of(st.sampled_from(ESCAPED), st.characters()), max_size=4)
+
+
+@st.composite
+def rankings_queries(draw):
+    """A profile in d = 1, 2 or 3 whose voters share at most three boxes,
+    and the `--voter` to restrict to, or None."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 4 if d < 3 else 3))
+    coord = st.integers(-4, 4).map(lambda x: Fraction(x, 2))
+    positions = draw(st.lists(st.tuples(*[coord] * d), min_size=m, max_size=m, unique=True))
+    candidate_ids = draw(st.lists(IDS, min_size=m, max_size=m, unique=True))
+    interval = st.tuples(coord, coord).map(lambda pair: tuple(sorted(pair)))
+    boxes = draw(st.lists(st.tuples(*[interval] * d), min_size=1, max_size=3))
+    voter_ids = draw(st.lists(IDS, max_size=6, unique=True))
+    profile = PartialSpatialProfile(
+        d,
+        [Candidate(cid, position) for cid, position in zip(candidate_ids, positions)],
+        [VoterBox(vid, draw(st.sampled_from(boxes))) for vid in voter_ids],
+    )
+    return profile, draw(st.none() | st.sampled_from(voter_ids)) if voter_ids else None
+
+
+def rankings_stdout(path, fmt, voter=None):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["rankings", "--instance", path, "--format", fmt, *([f"--voter={voter}"] if voter is not None else [])])
+    assert code == 0
+    return out.getvalue()
+
+
+class TestRankingsOutput:
+    @settings(max_examples=150, deadline=None)
+    @given(query=rankings_queries())
+    def test_same_bytes_as_the_per_voter_payload(self, tmp_path_factory, query):
+        profile, voter = query
+        path = write_doc(tmp_path_factory.mktemp("rankings"), election_to_document(profile))
+        voters = [v for v in profile.voters if voter in (None, v.id)]
+        for fmt in ("json", "text"):
+            assert rankings_stdout(path, fmt, voter) == reference_rankings_output(profile, voters, fmt)
+
+    def test_no_voters(self, tmp_path):
+        doc = load_document(ELECTION)
+        doc["voters"] = []
+        path = write_doc(tmp_path, doc)
+        assert rankings_stdout(path, "json") == '{\n  "rankings": {}\n}\n' == serialize({"rankings": {}})
+        assert rankings_stdout(path, "text") == ""
+
+    def test_thousands_of_voters(self, tmp_path):
+        profile = generate_election(31, 1, 8, 2000, 8, 1)
+        path = write_doc(tmp_path, election_to_document(profile))
+        for fmt in ("json", "text"):
+            assert rankings_stdout(path, fmt) == reference_rankings_output(profile, profile.voters, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_without_a_traceback(tmp_path, fmt):
+    """A reader that stops after one line, as `| head -n 1` does: the CLI
+    exits 141 and writes nothing to stderr."""
+    path = write_doc(tmp_path, election_to_document(generate_election(31, 1, 8, 5000, 8, 1)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(HERE, "..", "src"), env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "spatialvote.cli", "rankings", "--instance", path, "--format", fmt]
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141 and err == b""
 
 
 class TestExitCodes:
@@ -515,6 +615,11 @@ class TestExitCodes:
             pytest.param(["pw", "--rule", "plurality", "--allow-exponential=yes"], id="value for a flag"),
             pytest.param(["oracle", "pw", "--rule", "plurality", "--guard", "1e6"], id="non-integer guard"),
             pytest.param(["oracle", "pw", "--rule", "plurality", "--guard="], id="empty guard"),
+            # integers are taken only as they print, as in rule descriptors
+            *(
+                pytest.param(["oracle", "pw", "--rule", "plurality", "--guard", text], id=f"guard {text!r}")
+                for text in ("1_000", " 7", "7 ", "+3", "\u0663", "007", "-0")
+            ),
             pytest.param(["oracle", "--rule", "plurality"], id="oracle without pw|nw"),
             pytest.param(["oracle", "both", "--rule", "plurality"], id="oracle with a bad positional"),
             pytest.param(["oracle", "pw", "nw", "--rule", "plurality"], id="oracle with two positionals"),
@@ -532,6 +637,9 @@ class TestExitCodes:
             pytest.param([], id="no command"),
             pytest.param(["reduce-sched", "--instance", SCHEDULING, "--k", "three"], id="non-integer k"),
             pytest.param(["gen", "--seed", "1.5"], id="non-integer seed"),
+            pytest.param(["reduce-sched", "--instance", SCHEDULING, "--k", "+3"], id="signed k"),
+            pytest.param(["gen", "--seed", "\u0663"], id="non-ASCII seed"),
+            pytest.param(["gen", "--seed", "1", "--num-voters", " 3"], id="spaced count"),
             pytest.param(["gen", "--seed", "1", "--kind", "graph"], id="bad kind"),
         ],
     )

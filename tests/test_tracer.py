@@ -5,10 +5,12 @@ renamed or removed attribute breaks traced benchmark runs with an
 AttributeError.  Running it on the bundled instance catches that.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -79,7 +81,7 @@ def test_tracer_runs_cli_commands(tmp_path, command):
         instance.write_text(json.dumps(FOUR_IN_THE_PLANE))
     if command[0] == "reduce-sched":
         instance = SCHEDULING
-    spans = _trace(tmp_path, command, instance)
+    spans = _trace(tmp_path, command, instance)["spans"]
     names = {span[0] for span in spans}
     assert "cli.main" in names
     if command[0] == "faces":
@@ -118,14 +120,57 @@ def test_tracer_runs_cli_commands(tmp_path, command):
 def test_tracer_counts_one_completion_lookup_per_distinct_box(tmp_path):
     instance = tmp_path / "repeated.json"
     instance.write_text(json.dumps(REPEATED_BOX))
-    spans = _trace(tmp_path, ["pw", "--rule", "plurality"], instance)
+    spans = _trace(tmp_path, ["pw", "--rule", "plurality"], instance)["spans"]
     boxes = {tuple(map(tuple, voter["bounds"])) for voter in REPEATED_BOX["voters"]}
     assert len(REPEATED_BOX["voters"]) > len(boxes)
     assert [span[0] for span in spans].count("geometry.ranking_completions") == len(boxes)
 
 
+def _load_workloads():
+    """`perfbench/workloads.py`, loaded from its file without putting
+    `perfbench/` on `sys.path`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # where `dataclass` looks it up
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's work counts at its default seed, summed over each
+# workload's queries, so a geometry, scheduler, LFP or oracle work regression
+# fails here without any timing.  electorate-1d's 342 completion lookups are
+# 114 distinct boxes for each of `rankings`, `pw plurality` and `pw veto`;
+# `rankings` looked up every one of its 200 voters (428 in all) before it
+# came to look up each distinct box once.
+WORK_COUNTS = {
+    "electorate-1d": {
+        "geometry.enumerate_rankings_1d": 342,
+        "model.rank_from_point": 172,
+        "geometry.ranking_completions": 342,
+    },
+    "approval-1d": {"scheduling.feasible_equal_length": 22, "scheduling.jobs": 1760},
+    "arrangement-2d": {"lfp.feasible": 1250},
+    "oracle-1d": {"oracle": 3},
+}
+
+
+@pytest.mark.parametrize("name", WORK_COUNTS)
+def test_workload_work_counts(tmp_path, name):
+    workloads = _load_workloads()
+    workload = workloads.WORKLOADS[name]
+    paths = {}
+    for key, doc in workloads.make_documents(workload, workloads.DEFAULT_SEED).items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    work = Counter()
+    for key, argv in workload.queries:
+        trace = _trace(tmp_path, argv, paths[key])
+        work.update(span[0] for span in trace["spans"])
+        work.update(trace["counts"])
+    assert {key: work[key] for key in WORK_COUNTS[name]} == WORK_COUNTS[name]
+
+
 def _trace(tmp_path, command, instance):
-    """Run one CLI command under the tracer and return its spans."""
+    """Run one CLI command under the tracer and return its spans and counts."""
     spans_out = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -139,4 +184,4 @@ def _trace(tmp_path, command, instance):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(spans_out.read_text())["spans"]
+    return json.loads(spans_out.read_text())
