@@ -22,10 +22,11 @@ import random
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import oracle
 from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError, UsageError
@@ -81,7 +82,8 @@ def _rational(value: Any) -> Fraction:
 
 # A schema is a leaf converter, an object {field: schema} (unknown fields are
 # ignored), an array [schema] of any length, or a fixed-length array
-# (schema, ...).  `kind` selects the body's table.
+# (schema, ...); `_walk` returns every container as a tuple, an object's
+# fields in the schema's order.  `kind` selects the body's table.
 _HEADER = {"kind": _string, "schema_version": _any}
 _BODIES = {
     "election": {
@@ -94,6 +96,7 @@ _BODIES = {
         "jobs": [{"id": _string, "arrival": _integer, "deadline": _integer, "processing": _integer}],
     },
 }
+_CONTAINERS = {dict, list, tuple}
 
 
 def _where(path: Any) -> str:
@@ -103,42 +106,37 @@ def _where(path: Any) -> str:
     return _where(path[0]) + (f".{path[1]}" if isinstance(path[1], str) else f"[{path[1]}]")
 
 
-class _Rationals(dict):
-    """One document's `_rational` of each distinct string; failures are not stored."""
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = _rational(text)
-        return value
-
-
-def _walk(schema: Any, value: Any, where: Any, rationals: _Rationals) -> Any:
-    """Check `value` against `schema` and convert its leaves; the recursion
-    follows the schema, so its depth does not depend on the input."""
-    if isinstance(schema, dict):
+def _walk(schema: Any, value: Any, where: Any, rationals: Callable[[str], Fraction]) -> tuple:
+    """Check `value` against a container `schema`, converting its leaves in
+    the loop rather than in calls of their own; the recursion follows the
+    schema, so its depth does not depend on the input."""
+    if type(schema) is dict:
         if not isinstance(value, dict):
             raise InvalidInstance(f"{_where(where)}: expected an object, got {_describe(value)}")
-        fields = {}
-        for field, sub in schema.items():
-            if field not in value:
-                raise InvalidInstance(f"{_where(where)}: missing field {field!r}")
-            fields[field] = _walk(sub, value[field], (where, field), rationals)
-        return fields
-    if isinstance(schema, (list, tuple)):
-        if not isinstance(value, list) or (isinstance(schema, tuple) and len(value) != len(schema)):
-            shape = "an array" if isinstance(schema, list) else f"an array of {len(schema)}"
-            raise InvalidInstance(f"{_where(where)}: expected {shape}, got {_describe(value)}")
-        subs = schema * len(value) if isinstance(schema, list) else schema
-        return tuple(_walk(sub, item, (where, i), rationals) for i, (sub, item) in enumerate(zip(subs, value)))
-    try:  # only strings key the memo: `True == 1` would share 1's entry, and a list is unhashable
-        return rationals[value] if schema is _rational and type(value) is str else schema(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInstance(f"{_where(where)}: {exc}") from exc
+        subs = schema.items()
+    elif not isinstance(value, list) or (type(schema) is tuple and len(value) != len(schema)):
+        shape = "an array" if type(schema) is list else f"an array of {len(schema)}"
+        raise InvalidInstance(f"{_where(where)}: expected {shape}, got {_describe(value)}")
+    else:
+        subs = enumerate(schema * len(value) if type(schema) is list else schema)
+    out = []
+    for key, sub in subs:
+        if type(key) is str and key not in value:
+            raise InvalidInstance(f"{_where(where)}: missing field {key!r}")
+        item = value[key]
+        if type(sub) in _CONTAINERS:
+            out.append(_walk(sub, item, (where, key), rationals))
+            continue
+        try:  # only strings key the memo: `True == 1` would share 1's entry, and a list is unhashable
+            out.append(rationals(item) if sub is _rational and type(item) is str else sub(item))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInstance(f"{_where((where, key))}: {exc}") from exc
+    return tuple(out)
 
 
 def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
-    rationals = _Rationals()
-    header = _walk(_HEADER, doc, "document", rationals)
-    kind, version = header["kind"], header["schema_version"]
+    rationals = lru_cache(None)(_rational)  # one `Fraction` per distinct string in this document
+    kind, version = _walk(_HEADER, doc, "document", rationals)
     if type(version) is not int or version != SCHEMA_VERSION:
         raise InvalidInstance(f"document: unsupported schema_version {_describe(version)}")
     if kind not in _BODIES:
@@ -148,12 +146,10 @@ def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
     body = _walk(_BODIES[kind], doc, kind, rationals)
     try:
         if kind == "election":
-            return PartialSpatialProfile(
-                body["dimension"],
-                tuple(Candidate(c["id"], c["position"]) for c in body["candidates"]),
-                tuple(VoterBox(v["id"], v["bounds"]) for v in body["voters"]),
-            )
-        return SchedulingInstance(tuple(Job(**job) for job in body["jobs"]), body["machines"])
+            dimension, candidates, voters = body
+            return PartialSpatialProfile(dimension, tuple(starmap(Candidate, candidates)), tuple(starmap(VoterBox, voters)))
+        machines, jobs = body
+        return SchedulingInstance(tuple(starmap(Job, jobs)), machines)
     except (ValueError, SpatialVoteError) as exc:
         raise InvalidInstance(f"{kind}: {exc}") from exc
 
@@ -320,29 +316,26 @@ def cmd_rankings(args) -> int:
         voters = tuple(v for v in voters if v.id == args.voter)
         if not voters:
             raise InvalidInstance(f"no voter with id {args.voter!r}")
-    completions = {b: ranking_completions(profile.candidates, b) for b in dict.fromkeys(v.bounds for v in voters)}
+    index: dict = {}  # each distinct box's number, in order of first appearance; a box is hashed only here
+    which = [index.setdefault(v.bounds, len(index)) for v in voters]
+    completions = [ranking_completions(profile.candidates, b) for b in index]
     if args.format == "text":
         ids = [c.id for c in profile.candidates]
-        tails = {
-            b: [f": {' > '.join(ids[i] for i in rw.ranking)}  (at {', '.join(map(str, rw.witness))})" for rw in rws]
-            for b, rws in completions.items()
-        }
-        _write("".join(f"{v.id}{tail}\n" for v in voters for tail in tails[v.bounds]))
+        tails = [[f": {' > '.join(ids[i] for i in rw.ranking)}  (at {', '.join(map(str, rw.witness))})" for rw in rws]
+                 for rws in completions]
+        _write("".join(f"{v.id}{tail}\n" for v, k in zip(voters, which) for tail in tails[k]))
         return 0
     quote = encode_basestring_ascii  # the escaping `json.dumps` gives every string
     names = [quote(c.id) for c in profile.candidates]
-    lists = {
-        b: _json_block("[]", [
-            _json_block("{}", [
-                f'"ranking": {_json_block("[]", [names[i] for i in rw.ranking], " " * 8)}',
-                f'"witness": {_json_block("[]", [quote(str(x)) for x in rw.witness], " " * 8)}',
-            ], " " * 6)
-            for rw in rws
-        ], " " * 4)
-        for b, rws in completions.items()
-    }
-    entries = [f"{quote(v.id)}: {lists[v.bounds]}" for v in sorted(voters, key=lambda v: v.id)]
-    _write(_json_block("{}", [f'"rankings": {_json_block("{}", entries, "  ")}'], "") + "\n")
+    array = lru_cache(None)(lambda r: _json_block("[]", [names[i] for i in r], " " * 8))  # once per distinct ranking
+    slots = ["%s"] * profile.dimension  # one entry's layout, made once, with %s for its strings
+    entry = _json_block("{}", ['"ranking": %s', f'"witness": {_json_block("[]", slots, " " * 8)}'], " " * 6)
+    lists = [
+        _json_block("[]", [entry % (array(rw.ranking), *[quote(str(x)) for x in rw.witness]) for rw in rws], " " * 4)
+        for rws in completions
+    ]
+    entries = [f"{quote(v.id)}: {lists[k]}" for v, k in sorted(zip(voters, which), key=lambda vk: vk[0].id)]
+    _write(f'{{\n  "rankings": {_json_block("{}", entries, "  ")}\n}}\n')
     return 0
 
 

@@ -5,8 +5,12 @@ the line cut at those tie points is Coombs' unfolding (C. Coombs, *A Theory
 of Data*, 1964).  `_line_arrangement` builds it once per candidate tuple,
 with the ranking on every open cell and at every tie point, in order along
 the line.  An interval covers one contiguous run of those elements, found
-by two bisections (`arrangement_run_1d`), and every voter's sweep over the
-same candidates looks its probes up there instead of sorting distances.
+by two bisections (`arrangement_run_1d`), so every voter over the same
+candidates reads its rankings, and its witnesses, there instead of sorting
+distances.  A tie point is an element of its own because it can carry a
+ranking that neither neighbouring cell has: with candidates at 0, 4, 2, 6
+the ranking is (2, 1, 0, 3) just left of x=3, (1, 2, 0, 3) at x=3 and
+(1, 2, 3, 0) just right of it.
 
 In higher dimensions one pair table, `_precedence_rows`, holds every
 candidate pair's bisector row.  The bisectors partition space into faces on
@@ -24,14 +28,6 @@ Boundary convention: every hyperplane's nonstrict side, the table's row
 rows[i][j] with i < j, is the one containing the lower-indexed candidate of
 its pair, so points on the hyperplane fall in the face whose ranking matches
 index tie-breaking.  Two faces produced this way never share a point.
-
-Note on tie-point probes: a 1D tie point can carry a ranking that neither
-neighbouring sub-interval has.  With candidates at 0, 4, 2, 6 (indices 0-3)
-the ranking is (2, 1, 0, 3) just left of x=3, (1, 2, 0, 3) at x=3 and
-(1, 2, 3, 0) just right of it.  When candidate indices follow position
-order, as `PartialSpatialProfile` arranges in d=1, a tie point does repeat
-the ranking to its left; `enumerate_rankings_1d` takes arbitrary candidate
-sequences, so it probes every tie point inside the interval.
 """
 
 from __future__ import annotations
@@ -81,23 +77,24 @@ _Scaled = namedtuple("_Scaled", "position")
 
 
 @lru_cache(maxsize=1024)
-def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...]]:
+def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Ranking, ...]]:
     """The 1D rankings of a candidate tuple, shared by every voter.
 
-    Returns the sorted distinct pair midpoints `mids` and the rankings of
-    the 2*len(mids)+1 elements of the line in order: element 2j is open cell
-    j, the open interval just left of mids[j] (the last cell is the ray
-    right of the last midpoint), and element 2j+1 is the tie point mids[j].
-    Each pair's distance order flips only at its midpoint, so the ranking
-    is constant on every open cell; this takes at most 2*C(m,2)+1 distance
-    sorts.  `_element_1d` finds the element holding a point, and an interval
-    covers the run of elements between those holding its ends.
+    Returns the sorted distinct pair midpoints `mids`, and a point inside and
+    the ranking of each of the 2*len(mids)+1 elements of the line in order:
+    element 2j is open cell j, the open interval just left of mids[j] (the
+    last cell is the ray right of the last midpoint), and element 2j+1 is
+    the tie point mids[j].  A cell between two midpoints holds their centre,
+    and each end ray the point one unit beyond its midpoint.  Each pair's
+    distance order flips only at its midpoint, so the ranking is constant on
+    every open cell; this takes at most 2*C(m,2)+1 distance sorts.
+    `_element_1d` finds the element holding a point, and an interval covers
+    the run of elements between those holding its ends.
 
-    The sorts run on integers: positions and probes are scaled by 4L, L the
+    The sorts run on integers: positions and points are scaled by 4L, L the
     common denominator of the positions, which makes every midpoint and
-    every midpoint of consecutive midpoints whole.  A positive scale keeps
-    every distance order and tie, so the rankings are those of the
-    unscaled probes.
+    every cell centre whole.  A positive scale keeps every distance order
+    and tie, so the rankings are those of the unscaled points.
     """
     if any(len(c.position) != 1 for c in candidates):
         raise DimensionMismatch("the line arrangement needs 1-dimensional candidates")
@@ -108,8 +105,8 @@ def _line_arrangement(candidates: tuple[Candidate, ...]) -> tuple[tuple[Fraction
     inside = [(a + b) // 2 for a, b in zip(ends, ends[1:])]
     cell_points = [ends[0] - scale, *inside, ends[-1] + scale] if ends else [0]
     probes = [x for pair in zip(cell_points, ends) for x in pair] + [cell_points[-1]]
-    mids = tuple(Fraction(x, scale) for x in ends)
-    return mids, tuple(rank_from_point((x,), scaled) for x in probes)
+    points = tuple(Fraction(x, scale) for x in probes)
+    return points[1::2], points, tuple(rank_from_point((x,), scaled) for x in probes)
 
 
 def _element_1d(mids: Sequence[Fraction], x: Fraction) -> int:
@@ -123,13 +120,13 @@ def _element_1d(mids: Sequence[Fraction], x: Fraction) -> int:
 def _run_1d(
     candidates: Sequence[Candidate], interval: tuple[Fraction, Fraction]
 ) -> tuple[tuple[Fraction, ...], tuple[Ranking, ...], int, int]:
-    """The candidates' arrangement and the first and last elements that
-    the interval [lo, hi] covers."""
+    """The candidates' arrangement points and rankings, and the first and
+    last elements that the interval [lo, hi] covers."""
     lo, hi = interval
     if lo > hi:
         raise ValueError("interval lower bound exceeds upper bound")
-    mids, rankings = _line_arrangement(tuple(candidates))
-    return mids, rankings, _element_1d(mids, lo), _element_1d(mids, hi)
+    mids, points, rankings = _line_arrangement(tuple(candidates))
+    return points, rankings, _element_1d(mids, lo), _element_1d(mids, hi)
 
 
 def arrangement_run_1d(
@@ -151,26 +148,22 @@ def enumerate_rankings_1d(
 ) -> list[RankingWithWitness]:
     """One witness per distinct ranking over a 1D interval of ideal points.
 
-    Probes every breakpoint and every midpoint between consecutive
-    breakpoints, in order, and keeps the first witness of each ranking; at
-    most C(m,2)+1 distinct rankings come back.  The breakpoints are lo, hi
-    and the tie points of the interval's run (`_run_1d`), and a probe's
-    ranking is that of its element (`_element_1d`) in the same shared
-    `_line_arrangement`, so the ranking set is that of `arrangement_run_1d`;
-    the probes are there for the witnesses.
+    A view on the interval's run (`_run_1d`), walked once along the line:
+    each ranking keeps its first element's witness, so at most C(m,2)+1
+    come back, their set that of `arrangement_run_1d`.  The first element's
+    witness is lo, a tie point's itself, the last cell's the midpoint of its
+    left end and hi, and any other cell's its centre: each element's first
+    point in the probe sequence lo, (midpoint, break)..., hi over the
+    breaks lo, hi and the tie points between them.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    mids, rankings, first, last = _run_1d(candidates, (lo, hi))
-    breaks = sorted({lo, hi, *mids[first // 2 : (last + 1) // 2]})
-    probes: list[Fraction] = []
-    for a, b in zip(breaks, breaks[1:]):
-        probes.append(a)
-        probes.append((a + b) / 2)
-    probes.append(breaks[-1])
+    points, rankings, first, last = _run_1d(candidates, (lo, hi))
+    witnesses = [lo, *points[first + 1 : last]]
+    if first < last:
+        witnesses.append(points[last] if last % 2 else (points[last - 1] + hi) / 2)
     out: list[RankingWithWitness] = []
     seen: set[Ranking] = set()
-    for x in probes:
-        r = rankings[_element_1d(mids, x)]
+    for r, x in zip(rankings[first : last + 1], witnesses):
         if r not in seen:
             seen.add(r)
             out.append(RankingWithWitness(r, (x,)))
@@ -429,7 +422,9 @@ def ranking_completions(
 
     Read by the `rankings` command, the oracle, the reduction's check, the
     1D plurality and veto flows and the d >= 2 NW types; the other 1D
-    routes read `arrangement_run_1d` instead.  Keyed on a box's bounds
-    rather than on a voter, so voters with equal boxes share one entry.
+    routes read `arrangement_run_1d` instead.  A 1D entry is a view on the
+    box's arrangement run (`enumerate_rankings_1d`).  Keyed on a box's
+    bounds rather than on a voter, so voters with equal boxes share one
+    entry.
     """
     return tuple(enumerate_rankings_dd(candidates, VoterBox("", bounds)))

@@ -43,8 +43,8 @@ def line(a, b, c):
 def run_tie_points(candidates, interval):
     """The tie points inside [lo, hi], as `enumerate_rankings_1d` reads them
     off the interval's run of the line arrangement."""
-    mids, _, first, last = geometry._run_1d(candidates, interval)
-    return list(mids[first // 2 : (last + 1) // 2])
+    points, _, first, last = geometry._run_1d(candidates, interval)
+    return list(points[first | 1 : last + 1 : 2])
 
 
 class TestTiePoints:
@@ -140,9 +140,10 @@ def assert_same_as_reference(candidates, interval):
 
 
 class TestSharedArrangement:
-    """`enumerate_rankings_1d` looks probes up in one arrangement per candidate
-    tuple; it must return exactly what a distance sort at every probe does,
-    and `arrangement_run_1d` the same ranking set from two bisections."""
+    """`enumerate_rankings_1d` reads one arrangement per candidate tuple; it
+    must return exactly what a distance sort at every probe of the reference
+    sweep does, and `arrangement_run_1d` the same ranking set from two
+    bisections."""
 
     @settings(max_examples=400, deadline=None)
     @given(line_instance())
@@ -182,8 +183,9 @@ class TestSharedArrangement:
     def test_integer_arrangement_matches_fraction_probes(self):
         """On 3,000 seeded candidate tuples in arbitrary order, with
         denominators 1-5, coincident positions and m = 1, the arrangement
-        ranked on integers over one common denominator equals
-        `rank_from_point` at the unscaled `Fraction` probes."""
+        ranked on integers over one common denominator holds the unscaled
+        `Fraction` probes as its element points, and `rank_from_point` at
+        each of them."""
         rng = random.Random(2501)
         sizes = Counter()
         for _ in range(3000):
@@ -195,10 +197,10 @@ class TestSharedArrangement:
             inside = [(a + b) / 2 for a, b in zip(mids, mids[1:])]
             cells = [mids[0] - 1, *inside, mids[-1] + 1] if mids else [Fraction(0)]
             probes = [x for pair in zip(cells, mids) for x in pair] + [cells[-1]]
-            expected = (tuple(mids), tuple(rank_from_point((x,), candidates) for x in probes))
+            expected = (tuple(mids), tuple(probes), tuple(rank_from_point((x,), candidates) for x in probes))
             got = geometry._line_arrangement(candidates)
             assert got == expected
-            assert all(type(x) is Fraction for x in got[0])
+            assert all(type(x) is Fraction for x in got[1])
             sizes[m == 1, len(set(positions)) < m] += 1
         assert all(sizes[key] for key in ((True, False), (False, True), (False, False)))
 
@@ -234,6 +236,77 @@ class TestSharedArrangement:
         for voter in profile.voters:
             geometry.ranking_completions(profile.candidates, voter.bounds)
         assert len(calls) == total
+
+
+def seeded_line_instances(seed, count):
+    """`count` seeded (candidates, interval) pairs: m = 1-8 raw positions with
+    denominators 1-4, in any order and possibly coincident, and interval ends
+    that are often tie points and sometimes equal."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        denominator = rng.randint(1, 4)
+        pool = [Fraction(rng.randint(-20, 20), denominator) for _ in range(rng.randint(1, m))]
+        candidates = tuple(Candidate(f"c{i + 1}", (rng.choice(pool),)) for i in range(m))
+        ties = sorted({(a.position[0] + b.position[0]) / 2 for a, b in itertools.combinations(candidates, 2)})
+
+        def end():
+            if ties and rng.random() < 0.4:
+                return rng.choice(ties)
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 4))
+
+        a = end()
+        b = a if rng.random() < 0.1 else end()
+        yield candidates, ties, (min(a, b), max(a, b))
+
+
+class TestRunView:
+    """`enumerate_rankings_1d` reads its rankings and witnesses off the
+    interval's run of the shared arrangement, with no probe of its own."""
+
+    def test_matches_per_probe_sweep(self):
+        cases = Counter()
+        for candidates, ties, (lo, hi) in seeded_line_instances(3401, 6000):
+            got = enumerate_rankings_1d(candidates, (lo, hi))
+            assert repr(got) == repr(reference_enumerate_rankings_1d(candidates, (lo, hi)))
+            positions = [c.position[0] for c in candidates]
+            inside = [t for t in ties if lo <= t <= hi]
+            cases["lo on a tie point"] += lo in ties
+            cases["hi on a tie point"] += hi in ties
+            cases["point box on a tie point"] += lo == hi and lo in ties
+            cases["interval inside one open cell"] += bool(ties) and lo < hi and not inside
+            cases["both end cells"] += bool(ties) and lo < ties[0] and ties[-1] < hi
+            cases["unsorted candidates"] += positions != sorted(positions)
+            cases["coincident candidates"] += len(set(positions)) < len(positions)
+        assert len(cases) == 7 and all(cases.values()), cases
+
+    def test_two_bisections_and_one_lookup_per_call(self, monkeypatch):
+        """Each call bisects twice and looks the arrangement up once, however
+        long its run: 1 to 2*C(m,2)+1 elements here."""
+        elements, lookups = [], []
+        element, arrangement = geometry._element_1d, geometry._line_arrangement
+
+        def counting_element(mids, x):
+            elements.append(x)
+            return element(mids, x)
+
+        def counting_arrangement(candidates):
+            lookups.append(candidates)
+            return arrangement(candidates)
+
+        monkeypatch.setattr(geometry, "_element_1d", counting_element)
+        monkeypatch.setattr(geometry, "_line_arrangement", counting_arrangement)
+        # powers of two have distinct pair midpoints, so [-1, 200] covers 57 elements
+        powers = tuple(Candidate(f"c{i}", (Fraction(2**i),)) for i in range(8))
+        instances = [*seeded_line_instances(3402, 500), (powers, None, (Fraction(-1), Fraction(200)))]
+        run_lengths = set()
+        for candidates, _, interval in instances:
+            del elements[:], lookups[:]
+            enumerate_rankings_1d(candidates, interval)
+            assert (len(elements), len(lookups)) == (2, 1)
+            _, _, first, last = geometry._run_1d(candidates, interval)
+            run_lengths.add(last - first + 1)
+        assert {1, 2 * comb(8, 2) + 1} <= run_lengths
 
 
 class TestBisectors:
