@@ -13,9 +13,15 @@ The solver's search state counts jobs instead of naming them: jobs of equal
 (deadline, arrival) are interchangeable, so it keeps one count of unstarted
 jobs per such class and one count of running jobs per end time, each a bit
 field of an int.  This is the earliest-deadline-first search over job sets
-with its states relabelled, so it visits and memoizes the same states; it
-is still exponential in the worst case, but a state's size no longer grows
-with the number of jobs.
+with its states relabelled; it is still exponential in the worst case, but
+a state's size grows with the number of classes, not of jobs.
+
+Before branching from a state, the search checks a deadline-prefix bound:
+for each latest start L, the unstarted jobs that must start by L cannot
+outnumber the starts the machines have room for in [time, L].  The bound
+ignores arrivals, so it only refuses states with no schedule; the search
+memoizes those as failed and otherwise visits states in the same order as
+without it, so it returns the same schedules with fewer failed states.
 """
 
 from __future__ import annotations
@@ -74,18 +80,19 @@ class Schedule(namedtuple("Schedule", "assignments")):
 
 
 def check_schedule(instance: SchedulingInstance, schedule: Schedule) -> None:
-    """Raise SelfCheckFailed unless the schedule satisfies all invariants."""
+    """Raise SelfCheckFailed unless the schedule satisfies all invariants.
+    Starts and machines are integers, and, as in `Job`, a `bool` is not."""
     if set(schedule.assignments) != {j.id for j in instance.jobs}:
         raise SelfCheckFailed("the schedule does not assign exactly the instance's jobs")
     per_machine: dict[int, list[tuple[int, int]]] = {}
     for job in instance.jobs:
         start, machine = schedule.assignments[job.id]
-        if not isinstance(start, int):
+        if type(start) is not int:
             raise SelfCheckFailed(f"job {job.id!r} starts at non-integer time {start!r}")
         if not job.arrival <= start <= job.deadline - job.processing:
             raise SelfCheckFailed(f"job {job.id!r} starts at {start}, outside its window")
-        if not 0 <= machine < instance.machines:
-            raise SelfCheckFailed(f"job {job.id!r} runs on nonexistent machine {machine}")
+        if type(machine) is not int or not 0 <= machine < instance.machines:
+            raise SelfCheckFailed(f"job {job.id!r} runs on nonexistent machine {machine!r}")
         per_machine.setdefault(machine, []).append((start, start + job.processing))
     for machine, intervals in per_machine.items():
         intervals.sort()
@@ -136,7 +143,7 @@ def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
     lowest-numbered available job, so the started jobs of a class are always
     a prefix of it.  So the unstarted jobs are one int `remaining` with a
     W-bit field per class holding its unstarted count, W bits being enough
-    for the largest class: its lowest set bit lies in the class with the
+    for all the jobs: its lowest set bit lies in the class with the
     earliest latest start, and the lowest set bit of its arrived fields in
     the class EDF picks, both read from tables indexed by bit position.
     Every running job ends in (time, time + p], so the running jobs are one
@@ -147,6 +154,24 @@ def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
     over job sets and memoizes the same failed ones, on a key whose size
     grows with the number of classes, not of jobs.  The number of running
     jobs and the index of the next arrival ride beside the state.
+
+    Each state that passes the latest-start test and the memo must also
+    pass a deadline-prefix bound.  Let L - time = q * p + r with 0 <= r < p
+    for a latest start L >= time.  A machine free from time f starts at most
+    (L - f) // p + 1 jobs in [f, L]: q + 1 for the idle machines (f = time)
+    and for the running jobs ending by time + r, q for the others.  So at
+    most cap(L) = t * q + idle + (running jobs ending by time + r) unstarted
+    jobs may have latest start <= L.  Classes are numbered by deadline, so
+    one multiplication gives every class prefix of `remaining`, and the
+    count for L is the prefix up to L's last class.  The distinct latest
+    starts are walked upward from the earliest unstarted one, and the walk
+    stops at the first L whose cap(L) holds every unstarted job, as cap
+    never shrinks with L.  A state that fails the
+    bound is memoized as failed, so the guard counts it and a revisit costs
+    one lookup.  The bound ignores arrivals, so it relaxes the instance:
+    it only cuts subtrees with no schedule, the search visits every other
+    state in the same order as without it, and the schedule it returns is
+    the same.
 
     The search runs on an explicit stack, one entry per state it branched
     from, so no number of jobs meets Python's recursion limit.  Its cost is
@@ -168,15 +193,25 @@ def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
     classes: dict[tuple[int, int], list[str]] = {}
     for job in sorted(jobs, key=lambda job: (job.deadline, job.arrival, job.id)):
         classes.setdefault((job.deadline, job.arrival), []).append(job.id)
-    width = max(map(len, classes.values())).bit_length()
+    width = len(jobs).bit_length()  # bits per class
     field = (1 << width) - 1
+    below = sum(1 << (c * width) for c in range(len(classes)))
+    top = (len(classes) - 1) * width
+    # (remaining * below) holds in field c the unstarted jobs of classes
+    # 0 .. c: at most every job, so no field carries into the next
     remaining = 0
-    latest_at: list[int] = []  # by bit position: the class's latest start
+    lates: list[int] = []  # the distinct latest starts, ascending
+    lasts: list[int] = []  # by latest start: the bit offset of its last class
+    late_at: list[int] = []  # by bit position: the index of the class's latest start
     unit_at: list[int] = []  # by bit position: one job of the class
     arriving: dict[int, int] = {}
     for c, ((deadline, arrival), ids) in enumerate(classes.items()):
+        if not lates or lates[-1] != deadline - p:
+            lates.append(deadline - p)
+            lasts.append(0)
+        lasts[-1] = c * width  # the last class so far of this latest start
         remaining |= len(ids) << (c * width)
-        latest_at += [deadline - p] * width
+        late_at += [len(lates) - 1] * width
         unit_at += [1 << (c * width)] * width
         arriving[arrival] = arriving.get(arrival, 0) | field << (c * width)
     arrivals = sorted(arriving)
@@ -198,31 +233,49 @@ def feasible_equal_length(instance: SchedulingInstance) -> Optional[Schedule]:
     time, ends, running, idx = arrivals[0], 0, 0, 1  # idx: arrivals[:idx] are <= time
     while remaining:
         state = (time, ends, remaining)
-        if latest_at[(remaining & -remaining).bit_length() - 1] >= time and state not in failed:
-            ready = remaining & arrived[idx]
-            if ready and running < t:
-                # Start the EDF pick now, else idle one unit.  Every running
-                # job started by now, so time + p is the latest end time.
-                pick = unit_at[(ready & -ready).bit_length() - 1]
-                stack.append((state, pick, running, idx))
-                ends += newest
-                remaining -= pick
-                running += 1
+        j = late_at[(remaining & -remaining).bit_length() - 1]  # the earliest unstarted latest start
+        if lates[j] >= time and state not in failed:
+            # The deadline-prefix bound, with cap(L) = t * (q + 1) - running
+            # + (running jobs ending by time + r).  The walk stops at the
+            # first cap(L) that holds every unstarted job, at the latest on
+            # the last L, whose prefix is every unstarted job.
+            due = remaining * below  # field c: unstarted jobs of classes 0 .. c
+            total = due >> top & field
+            ended = ends * ones << slot  # field r: running jobs ending by time + r
+            while True:
+                q, r = divmod(lates[j] - time, p)
+                cap = t * (q + 1) - running + (ended >> (slot * r) & slot_mask)
+                if not due >> lasts[j] & field <= cap < total:
+                    break
+                j += 1
+            if cap >= total:
+                ready = remaining & arrived[idx]
+                if ready and running < t:
+                    # Start the EDF pick now, else idle one unit.  Every
+                    # running job started by now, so time + p is the latest
+                    # end time.
+                    pick = unit_at[(ready & -ready).bit_length() - 1]
+                    stack.append((state, pick, running, idx))
+                    ends += newest
+                    remaining -= pick
+                    running += 1
+                    continue
+                # Nothing can start: jump to the next arrival, whose jobs are
+                # all pending (no job arriving later than now has started),
+                # or, with every machine busy, the next end time, whichever
+                # comes first.
+                if running < t:
+                    nxt = arrivals[idx]
+                else:
+                    nxt = min(time + 1 + ((ends & -ends).bit_length() - 1) // slot, arrivals[idx])
+                stack.append((state, 0, 0, 0))
+                ends >>= slot * (nxt - time)
+                running = (ends * ones) >> (slot * (p - 1)) & slot_mask
+                time = nxt
+                if arrivals[idx] == time:
+                    idx += 1
                 continue
-            # Nothing can start: jump to the next arrival, whose jobs are all
-            # pending (no job arriving later than now has started), or, with
-            # every machine busy, the next end time, whichever comes first.
-            if running < t:
-                nxt = arrivals[idx]
-            else:
-                nxt = min(time + 1 + ((ends & -ends).bit_length() - 1) // slot, arrivals[idx])
-            stack.append((state, 0, 0, 0))
-            ends >>= slot * (nxt - time)
-            running = (ends * ones) >> (slot * (p - 1)) & slot_mask
-            time = nxt
-            if arrivals[idx] == time:
-                idx += 1
-            continue
+            stack.append((state, 0, 0, 0))  # a prefix cannot fit: memoized as failed below
         while stack:
             state, pick, running, idx = stack.pop()
             if pick:

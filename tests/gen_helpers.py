@@ -78,6 +78,28 @@ def random_equal_length_instance(
     return SchedulingInstance(tuple(jobs), rng.randint(1, max_machines)), p
 
 
+def tight_prefix_instance(rng: random.Random, over: int) -> tuple[SchedulingInstance, int]:
+    """Equal-length instance whose first arrival is 1 and whose jobs with
+    latest start <= L number exactly cap(L) + `over`, for a drawn latest
+    start L: cap(L) = t * ((L - 1) // p + 1) is how many jobs t machines
+    idle from time 1 can start in [1, L].  Up to 10 jobs, half of the
+    prefix's arriving at 1, with deadlines at most 22; the common length is
+    returned alongside."""
+    p = rng.randint(1, 3)
+    t = rng.randint(1, 3)
+    q = rng.randint(0, min(3, 6 // t - 1))
+    last = 1 + q * p + rng.randrange(p)
+    due = t * (q + 1) + over
+    latests = [last] + [rng.randint(1, last) for _ in range(due - 1)]
+    latests += [rng.randint(last + 1, last + 2 * p) for _ in range(rng.randint(0, 10 - due))]
+    jobs = []
+    for i, latest in enumerate(latests):
+        arrival = 1 if i == 0 or (i < due and rng.random() < 0.5) else rng.randint(1, latest)
+        jobs.append(Job(f"j{i + 1}", arrival, latest + p, p))
+    rng.shuffle(jobs)
+    return SchedulingInstance(tuple(jobs), t), p
+
+
 def random_reduction_instance(
     rng: random.Random, k: int = 3, max_jobs: int = 4, d_max: int = 8
 ) -> SchedulingInstance:

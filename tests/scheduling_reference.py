@@ -5,7 +5,8 @@
 earliest-deadline-first backtracking, written as a recursive `dfs` whose memo
 is keyed on a `frozenset` of remaining job indices and whose every node scans
 the remaining jobs.  Tests require the package's schedules to equal its
-schedules.
+schedules, and, with its deadline-prefix bound stated machine by machine,
+the package's memoized failed states to equal its own in number.
 
 `brute_force_schedule` tries every integer start time of every job, for any
 mix of processing times; it anchors acceptance criterion 7.
@@ -24,14 +25,22 @@ from spatialvote.errors import InstanceTooLarge, MixedProcessingTimes, SelfCheck
 from spatialvote.scheduling import Job, Schedule, SchedulingInstance, _assign_machines, check_schedule
 
 
-def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Optional[Schedule]:
+def reference_feasible_equal_length(
+    instance: SchedulingInstance, p: int, prefix_bound: bool = False, failed: Optional[set] = None
+) -> Optional[Schedule]:
     """Feasibility for jobs that all share processing time p.
 
     Earliest-deadline-first over integer time with backtracking: whenever a
     machine is free and jobs are available, either the available job with the
     earliest deadline starts now, or nothing starts at this time unit.  For
     equal-length jobs a standard exchange argument makes this complete.
-    Failed states are memoized.
+    Failed states are memoized in `failed`, which a caller may pass to read
+    them afterwards.
+
+    With `prefix_bound`, a state also fails, and is memoized, when for some
+    latest start L more unstarted jobs must start by L than the machines
+    can start: a machine free from time f starts at most (L - f) // p + 1
+    jobs in [f, L].
     """
     jobs = instance.jobs
     for job in jobs:
@@ -46,7 +55,15 @@ def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Opt
     latest = {i: job.deadline - p for i, job in enumerate(jobs)}
     order_key = {i: (job.deadline, job.arrival, job.id) for i, job in enumerate(jobs)}
     starts: dict[int, int] = {}
-    failed: set = set()
+    failed = set() if failed is None else failed
+
+    def prefixes_fit(time: int, busy: tuple[int, ...], remaining: frozenset) -> bool:
+        free_from = busy + (time,) * (t - len(busy))
+        for bound in {latest[i] for i in remaining}:
+            due = sum(latest[i] <= bound for i in remaining)
+            if due > sum((bound - f) // p + 1 for f in free_from if f <= bound):
+                return False
+        return True
 
     def dfs(time: int, busy: tuple[int, ...], remaining: frozenset) -> bool:
         if not remaining:
@@ -55,6 +72,9 @@ def reference_feasible_equal_length(instance: SchedulingInstance, p: int) -> Opt
             return False
         key = (time, busy, remaining)
         if key in failed:
+            return False
+        if prefix_bound and not prefixes_fit(time, busy, remaining):
+            failed.add(key)
             return False
         available = [i for i in remaining if jobs[i].arrival <= time]
         if available and len(busy) < t:

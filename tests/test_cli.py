@@ -480,12 +480,14 @@ class TestExitCodes:
         assert json.loads(err)["error"]["type"] == "InstanceTooLarge"
 
     def test_scheduler_guard_exits_2(self, capsys, tmp_path, monkeypatch):
-        # The equal-length scheduler memoizes 128 failed states on this
-        # profile; below that guard `pw` exits 2 instead of growing.
+        # The equal-length scheduler memoizes at most 7 failed states per
+        # instance on this profile; below that guard `pw` exits 2 instead of
+        # growing.
         path = write_doc(tmp_path, election_to_document(generate_election(3, 1, 6, 12, 8, 1)))
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 7)
         code, out, _ = run(capsys, "pw", "--instance", path, "--rule", "approval:3")
         assert code == 0 and out
-        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 127)
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 6)
         code, out, err = run(capsys, "pw", "--instance", path, "--rule", "approval:3")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InstanceTooLarge"

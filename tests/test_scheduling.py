@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen_helpers import random_equal_length_instance, random_reduction_instance
+from gen_helpers import random_equal_length_instance, random_reduction_instance, tight_prefix_instance
 from scheduling_reference import brute_force_schedule, reference_feasible_equal_length, scan_assign_machines
 from spatialvote import (
     Job,
@@ -16,6 +16,7 @@ from spatialvote import (
     SchedulingInstance,
     brute_pw,
     feasible_equal_length,
+    necessary_winner,
     possible_winner,
     reduce_scheduling_to_pw,
     scheduling,
@@ -102,23 +103,24 @@ class TestEqualLengthSolver:
         assert feasible_equal_length(SchedulingInstance(jobs, 2)) is None
 
     def test_memo_guard(self, monkeypatch):
-        # Infeasible only after backtracking: the search memoizes 13 failed
-        # states, one more than a guard of 12 allows.
-        times = [(2, 10), (3, 7), (3, 7), (1, 12), (7, 10)]
-        jobs = tuple(Job(f"j{i + 1}", a, d, 3) for i, (a, d) in enumerate(times))
+        # Infeasible only after backtracking (gen_helpers'
+        # random_equal_length_instance at seed 1353): the search memoizes 11
+        # failed states, one more than a guard of 10 allows.
+        times = [(11, 13), (9, 11), (7, 11), (2, 7), (11, 14)]
+        jobs = tuple(Job(f"j{i + 1}", a, d, 2) for i, (a, d) in enumerate(times))
         instance = SchedulingInstance(jobs, 1)
-        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 13)
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 11)
         assert feasible_equal_length(instance) is None
-        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 12)
-        with pytest.raises(InstanceTooLarge, match="13 memoized failed scheduler states"):
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 10)
+        with pytest.raises(InstanceTooLarge, match="11 memoized failed scheduler states"):
             feasible_equal_length(instance)
 
     @pytest.mark.parametrize(
         "text, counts",
         [
-            ("approval:3", [21, 7863, 0, 0, 0, 0, 16639, 57567]),
-            ("kveto:2", [54, 970, 0, 0, 0, 0, 1112, 201]),
-            ("fkt:3:1", [7863, 0, 0, 0, 0, 16639]),
+            ("approval:3", [1, 1, 0, 0, 0, 0, 2370, 6338]),
+            ("kveto:2", [1, 1, 0, 0, 0, 0, 1, 1]),
+            ("fkt:3:1", [1, 0, 0, 0, 0, 2370]),
         ],
     )
     def test_failed_state_counts(self, monkeypatch, text, counts):
@@ -139,18 +141,28 @@ class TestEqualLengthSolver:
         # A state holds one count per job class, so copying every job (and
         # machine) 50 times adds a few bits per state, not 50 times the bits.
         [instance] = possible_winner_instances(monkeypatch, "approval:3", [7])
-        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 20_000)
+        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 5_000)
         peaks = []
         for copies in (1, 50):
             jobs = tuple(Job(f"{job.id}_{c}", *job[1:]) for job in instance.jobs for c in range(copies))
             tracemalloc.start()
             try:
-                with pytest.raises(InstanceTooLarge, match="^20001 memoized failed scheduler states"):
+                with pytest.raises(InstanceTooLarge, match="^5001 memoized failed scheduler states"):
                     feasible_equal_length(SchedulingInstance(jobs, instance.machines * copies))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+    def test_kveto_at_5000_voters(self):
+        # 5,000 voters: the one scheduling instance per candidate is settled
+        # well under the default guard, where the search without the
+        # deadline-prefix bound memoized more failed states than it allows
+        profile = generate_election(31, 1, 8, 5000, 8, 1)
+        rule = rule_from_text("kveto:2")
+        pw = possible_winner(profile, rule, range(8))
+        assert pw == {2, 3, 4, 5}
+        assert necessary_winner(profile, rule, range(8)) <= pw
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(17)
@@ -162,6 +174,38 @@ class TestEqualLengthSolver:
             if fast is not None:
                 check_schedule(instance, fast)
                 check_schedule(instance, slow)
+
+
+class TestPrefixBound:
+    """The deadline-prefix bound refuses exactly the states where some
+    prefix overflows, no fewer and no more."""
+
+    def test_tight_prefixes(self, monkeypatch):
+        # one prefix holds exactly cap(L) jobs, or cap(L) + 1; the package
+        # must keep the reference's schedules and brute force's verdicts,
+        # and memoize as many failed states as the reference does with the
+        # bound stated machine by machine
+        rng = random.Random(67)
+        feasible_at_cap = 0
+        for trial in range(1600):
+            over = trial % 2
+            instance, p = tight_prefix_instance(rng, over)
+            failed = set()
+            bounded = reference_feasible_equal_length(instance, p, prefix_bound=True, failed=failed)
+            monkeypatch.setattr(scheduling, "DEFAULT_GUARD", len(failed))
+            assert_same_as_reference(instance, p)
+            slow = brute_force_schedule(instance, max_jobs=10, max_horizon=22)
+            assert (bounded is None) == (slow is None)
+            if failed:
+                monkeypatch.setattr(scheduling, "DEFAULT_GUARD", len(failed) - 1)
+                with pytest.raises(InstanceTooLarge, match=f"^{len(failed)} memoized failed scheduler states"):
+                    feasible_equal_length(instance)
+            if over:
+                # no machine is busy at the first arrival, so the root is refused
+                assert bounded is None and len(failed) == 1
+            else:
+                feasible_at_cap += bounded is not None
+        assert feasible_at_cap > 200
 
 
 def assert_same_as_reference(instance, p):
@@ -261,8 +305,11 @@ class TestCheckSchedule:
             ({"a": (1, 0), "b": (4, 0)}, "job 'b' starts at 4, outside its window"),
             ({"a": (1, 0), "b": (3, 1)}, "job 'b' runs on nonexistent machine 1"),
             ({"a": (1, 0), "b": (2, 0)}, "overlapping jobs on machine 0"),
+            ({"a": (True, 0), "b": (3, 0)}, "job 'a' starts at non-integer time True"),
+            ({"a": (1, 0), "b": (1, 0.5)}, "job 'b' runs on nonexistent machine 0.5"),
+            ({"a": (1, 0), "b": (3, False)}, "job 'b' runs on nonexistent machine False"),
         ],
-        ids=["job-set", "non-integer", "window", "machine", "overlap"],
+        ids=["job-set", "non-integer", "window", "machine", "overlap", "bool-start", "fractional-machine", "bool-machine"],
     )
     def test_each_invariant_raises(self, assignments, message):
         instance = SchedulingInstance((Job("a", 1, 5, 2), Job("b", 1, 5, 2)), 1)
