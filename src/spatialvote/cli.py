@@ -12,6 +12,12 @@ error, bad input, undefined rule, no polynomial algorithm without
 --allow-exponential), 2 guard violation, 141 without a diagnostic when
 stdout closes early (as under `| head`; a shell's status for SIGPIPE).
 Integer flags take canonical decimals only: `+3`, `007`, `1_000` exit 1.
+
+Each query imports only the modules its command calls: `rankings`, `faces`
+and `gen` load none beyond `errors`, `model`, `lfp` and `geometry`; `nw` and
+`pw` add `winners`, which adds `scheduling` on the two-valued and F(k, t)
+routes and `oracle` on the exponential one; `oracle` adds `oracle`;
+`reduce-sched` and `gen --kind scheduling` add `scheduling`.
 """
 
 from __future__ import annotations
@@ -26,14 +32,14 @@ from functools import lru_cache, partial
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
-from . import oracle
-from .errors import InstanceTooLarge, InvalidInstance, SpatialVoteError, UsageError
+from .errors import DEFAULT_GUARD, InstanceTooLarge, InvalidInstance, SpatialVoteError, UsageError
 from .geometry import bisectors, ranking_completions, specify_faces
-from .model import Candidate, PartialSpatialProfile, VoterBox, _number, rule_from_text, rule_to_text
-from .scheduling import Job, SchedulingInstance, reduce_scheduling_to_pw
-from .winners import necessary_winner, possible_winner
+from .model import Candidate, PartialSpatialProfile, ScoringRule, VoterBox, _number, rule_from_text, rule_to_text
+
+if TYPE_CHECKING:
+    from .scheduling import SchedulingInstance
 
 SCHEMA_VERSION = 1
 
@@ -148,6 +154,8 @@ def parse_document(doc: Any) -> PartialSpatialProfile | SchedulingInstance:
         if kind == "election":
             dimension, candidates, voters = body
             return PartialSpatialProfile(dimension, tuple(starmap(Candidate, candidates)), tuple(starmap(VoterBox, voters)))
+        from .scheduling import Job, SchedulingInstance
+
         machines, jobs = body
         return SchedulingInstance(tuple(starmap(Job, jobs)), machines)
     except (ValueError, SpatialVoteError) as exc:
@@ -261,6 +269,8 @@ def generate_scheduling(
     seed: int, num_jobs: int, machines: int = 1, horizon: int = 10, max_processing: int = 4
 ) -> SchedulingInstance:
     """Random instance in which every job fits between arrival and deadline."""
+    from .scheduling import Job, SchedulingInstance
+
     if num_jobs < 0:
         raise ValueError(f"num_jobs must be at least 0, got {num_jobs}")
     if horizon < 1:
@@ -351,16 +361,38 @@ def _membership_command(args, winner_set) -> int:
     return 0
 
 
+# `winners`, `scheduling` and `oracle` are imported inside the commands that
+# call them (see the module docstring).  The two stand-ins below keep
+# `necessary_winner` and `reduce_scheduling_to_pw` attributes of this module,
+# where perfbench's tracer wraps them.
+
+
+def necessary_winner(profile: PartialSpatialProfile, rule: ScoringRule, candidates: Iterable[int]) -> frozenset[int]:
+    from .winners import necessary_winner
+
+    return necessary_winner(profile, rule, candidates)
+
+
+def reduce_scheduling_to_pw(instance: SchedulingInstance, k: int) -> tuple[PartialSpatialProfile, str, ScoringRule]:
+    from .scheduling import reduce_scheduling_to_pw
+
+    return reduce_scheduling_to_pw(instance, k)
+
+
 def cmd_nw(args) -> int:
     return _membership_command(args, necessary_winner)
 
 
 def cmd_pw(args) -> int:
+    from .winners import possible_winner
+
     guard = _guard_value(args)
     return _membership_command(args, partial(possible_winner, allow_exponential=args.allow_exponential, guard=guard))
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     profile = _load(args.instance, "election")
     rule = rule_from_text(args.rule)
     fn = oracle.brute_pw if args.which == "pw" else oracle.brute_nw
@@ -414,7 +446,7 @@ def _guard_value(args) -> int:
 _INSTANCE = ("--instance", str, ..., "path to an instance JSON document")
 _RULE = ("--rule", str, ..., "rule descriptor, e.g. plurality, approval:2, fkt:2:1")
 _CANDIDATE = ("--candidate", str, None, "restrict to a membership verdict for this candidate id")
-_GUARD = ("--guard", int, oracle.DEFAULT_GUARD, "oracle work guard on the whole fold")
+_GUARD = ("--guard", int, DEFAULT_GUARD, "oracle work guard on the whole fold")
 _FORMAT = ("--format", ("json", "text"), "text", "output format")
 COMMANDS = {
     "rankings": (cmd_rankings, "ranking completions per voter, with witnesses",

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from functools import partial
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
-from . import oracle
 from .errors import (
+    DEFAULT_GUARD,
     DimensionMismatch,
     NoPolynomialAlgorithm,
     RuleMismatch,
@@ -44,7 +44,9 @@ from .model import (
     rank_from_point,  # noqa: F401 -- unused, kept because perfbench/tracer.py patches it
     realize_score_vector,
 )
-from .scheduling import Job, SchedulingInstance, feasible_equal_length
+
+if TYPE_CHECKING:
+    from .scheduling import Schedule, SchedulingInstance
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,15 @@ def _window(candidates: Sequence, k: int, bounds: tuple, admissible=lambda ranki
     return lo, hi
 
 
+def feasible_equal_length(instance: SchedulingInstance) -> Schedule | None:
+    """`scheduling.feasible_equal_length`, whose module loads on the first
+    call; the routes call it through this attribute, which perfbench's
+    tracer wraps."""
+    from .scheduling import feasible_equal_length
+
+    return feasible_equal_length(instance)
+
+
 def _schedulable(windows: Counter[tuple[int, int]], k: int, c: int) -> bool:
     """Whether `c` can win k-approval when each voter approves k consecutive
     candidates inside its window; `windows` counts the voters per window.
@@ -209,6 +220,8 @@ def _schedulable(windows: Counter[tuple[int, int]], k: int, c: int) -> bool:
     deadline hi+2, length k), one machine per voter that approves `c`, and
     `c` can win exactly when the jobs admit a feasible schedule.
     """
+    from .scheduling import Job, SchedulingInstance
+
     jobs = []
     supporters = 0
     for (lo, hi), n in windows.items():
@@ -480,7 +493,7 @@ def possible_winner(
     rule: ScoringRule,
     candidates: Iterable[int],
     allow_exponential: bool = False,
-    guard: int = oracle.DEFAULT_GUARD,
+    guard: int = DEFAULT_GUARD,
 ) -> frozenset[int]:
     """The members of `candidates` that win in some ranking completion.
 
@@ -497,7 +510,9 @@ def possible_winner(
             f"no polynomial possible-winner algorithm for this rule in d={profile.dimension}; "
             "pass allow_exponential to use the oracle"
         )
-    return oracle.brute_pw(profile, rule, guard) & wanted
+    from .oracle import brute_pw
+
+    return brute_pw(profile, rule, guard) & wanted
 
 
 def _require_1d(profile: PartialSpatialProfile) -> None:

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -759,15 +760,96 @@ def test_mutated_documents_never_raise(capsys, tmp_path):
                 assert err == "", context
 
 
+def fresh_python(script):
+    """The stdout of `script` run by a fresh interpreter that imports this
+    checkout's package."""
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_start_up_avoids_heavy_imports():
     # Each query is a fresh process, so every module the CLI imports is paid
     # for on every query; the first five come with `dataclasses` and cost
     # ~10 ms, and `argparse` with `gettext` costs 2-3 ms.
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext")
     script = f"import spatialvote.cli, sys; print(sorted(m for m in {heavy!r} if m in sys.modules))"
-    src = os.path.join(HERE, "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(script).strip() == "[]"
+
+
+# The modules every command loads; `lfp` comes with `geometry`.
+CORE_MODULES = {"errors", "model", "lfp", "geometry"}
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        ("rankings --instance {election}", set()),
+        ("faces --instance {election}", set()),
+        ("gen --seed 3", set()),
+        ("nw --instance {m5} --rule borda", {"winners"}),
+        ("nw --instance {m5} --rule approval:2", {"winners"}),
+        ("pw --instance {m5} --rule plurality", {"winners"}),
+        ("pw --instance {m5} --rule veto", {"winners"}),
+        ("pw --instance {m5} --rule approval:2", {"winners", "scheduling"}),
+        ("pw --instance {m5} --rule fkt:2:1", {"winners", "scheduling"}),
+        ("pw --instance {m5} --rule borda --allow-exponential", {"winners", "oracle"}),
+        ("oracle pw --instance {election} --rule borda", {"oracle"}),
+        ("oracle nw --instance {election} --rule plurality", {"oracle"}),
+        ("reduce-sched --instance {scheduling} --k 3", {"scheduling"}),
+        ("gen --seed 3 --kind scheduling", {"scheduling"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, command, modules):
+    # as `python -m spatialvote.cli` runs it: the package is imported and the
+    # module's code runs as __main__, so `spatialvote.cli` itself is not
+    # loaded; at m = 5 in 1D, borda takes the oracle route, approval:2 the
+    # scheduler and fkt:2:1 the F(k, t) route
+    m5 = write_doc(tmp_path, election_to_document(generate_election(4, 1, 5, 6)))
+    argv = [arg.format(election=ELECTION, scheduling=SCHEDULING, m5=m5) for arg in command.split()]
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['spatialvote', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('spatialvote.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('spatialvote.')))\n"
+    )
+    last = fresh_python(script).splitlines()[-1]
+    expected = sorted(f"spatialvote.{name}" for name in CORE_MODULES | modules)
+    assert last == f"0 {expected}"
+
+
+def test_package_loads_its_names_on_first_use():
+    # `import spatialvote` binds no submodule; using one loads only it and
+    # what it imports
+    script = textwrap.dedent(
+        """
+        import sys
+        import spatialvote
+        from importlib import import_module
+
+        print(sorted(m for m in sys.modules if m.startswith("spatialvote.")))
+        print(spatialvote.winners.__name__, "spatialvote.oracle" in sys.modules)
+        for name in spatialvote.__all__:
+            home = import_module(f"spatialvote.{spatialvote._HOME[name]}")
+            assert getattr(spatialvote, name) is getattr(home, name), name
+        names = {}
+        exec("from spatialvote import *", names)
+        assert set(spatialvote.__all__) <= set(names), set(spatialvote.__all__) - set(names)
+        assert all(names[name] is getattr(spatialvote, name) for name in spatialvote.__all__)
+        for name in ("no_such_name", "oracles"):
+            try:
+                getattr(spatialvote, name)
+            except AttributeError as exc:
+                assert exc.__context__ is None and str(exc).endswith(f"attribute {name!r}"), exc
+            else:
+                raise AssertionError(name)
+        print(hasattr(spatialvote, "no_such_name"))
+        """
+    )
+    assert fresh_python(script).splitlines() == ["[]", "spatialvote.winners False", "False"]

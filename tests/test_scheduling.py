@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,6 +40,17 @@ def possible_winner_instances(monkeypatch, text, candidates=range(8)):
         patch.setattr(winners, "feasible_equal_length", record)
         possible_winner(generate_election(6, 1, 8, 80, 8, 4), rule_from_text(text), candidates)
     return built
+
+
+def fresh_python(script, *options):
+    """The stdout of `script` run by a fresh interpreter, started with
+    `options`, that imports this checkout's package."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *options, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestJobs:
@@ -140,19 +150,31 @@ class TestEqualLengthSolver:
     def test_state_size_does_not_grow_with_copies(self, monkeypatch):
         # A state holds one count per job class, so copying every job (and
         # machine) 50 times adds a few bits per state, not 50 times the bits.
+        # Both peaks are read in one fresh interpreter: in a process that has
+        # run other tests, CPython's free lists of small tuples may already
+        # hold memory that the first search then reuses untraced.
         [instance] = possible_winner_instances(monkeypatch, "approval:3", [7])
-        monkeypatch.setattr(scheduling, "DEFAULT_GUARD", 5_000)
-        peaks = []
-        for copies in (1, 50):
-            jobs = tuple(Job(f"{job.id}_{c}", *job[1:]) for job in instance.jobs for c in range(copies))
-            tracemalloc.start()
-            try:
-                with pytest.raises(InstanceTooLarge, match="^5001 memoized failed scheduler states"):
-                    feasible_equal_length(SchedulingInstance(jobs, instance.machines * copies))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0]
+        script = textwrap.dedent(
+            f"""
+            import tracemalloc
+            from spatialvote import InstanceTooLarge, Job, SchedulingInstance, scheduling
+
+            scheduling.DEFAULT_GUARD = 5_000
+            originals = {[tuple(job) for job in instance.jobs]!r}
+            for copies in (1, 50):
+                jobs = tuple(Job(f"{{id}}_{{c}}", *times) for id, *times in originals for c in range(copies))
+                tracemalloc.start()
+                try:
+                    scheduling.feasible_equal_length(SchedulingInstance(jobs, {instance.machines} * copies))
+                except InstanceTooLarge as exc:
+                    print(tracemalloc.get_traced_memory()[1], exc)
+                finally:
+                    tracemalloc.stop()
+            """
+        )
+        peaks, messages = zip(*(line.split(" ", 1) for line in fresh_python(script).splitlines()))
+        assert messages == ("5001 memoized failed scheduler states exceed the guard of 5000",) * 2
+        assert int(peaks[1]) < 1.5 * int(peaks[0]), peaks
 
     def test_kveto_at_5000_voters(self):
         # 5,000 voters: the one scheduling instance per candidate is settled
@@ -288,14 +310,7 @@ class TestCheckSchedule:
                 print(exc)
             """
         )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "overlapping jobs on machine 0"
+        assert fresh_python(script, "-O").strip() == "overlapping jobs on machine 0"
 
     @pytest.mark.parametrize(
         "assignments, message",
