@@ -20,9 +20,10 @@ witnesses) decided by the exact rational LFP solver.  Inside a voter's box
 two kinds of split need no LFP: a bisector that misses the box splits
 nothing and is dropped, and with one free coordinate the faces are
 intervals, so one bisection finds the single face a bisector cuts
-(`_split_intervals`).  `place_sets` reads the same table to find which
-candidates a box can rank first or last from the Voronoi cells alone,
-without building the arrangement.
+(`_split_intervals`).  Each witness is ranked on integers (`_rank_scaled`).
+`place_sets` reads the same table to find which candidates a box can rank
+first or last from the Voronoi cells alone, without building the
+arrangement.
 
 Boundary convention: every hyperplane's nonstrict side, the table's row
 rows[i][j] with i < j, is the one containing the lower-indexed candidate of
@@ -308,6 +309,7 @@ def enumerate_rankings_dd(
     if d == 1:
         return enumerate_rankings_1d(candidates, box.bounds[0])
 
+    scale = math.lcm(*(x.denominator for c in candidates for x in c.position))
     free = [i for i, (lo, hi) in enumerate(box.bounds) if lo < hi]
     fixed = {i: lo for i, (lo, hi) in enumerate(box.bounds) if lo == hi}
     free_bounds = [box.bounds[i] for i in free]
@@ -340,12 +342,24 @@ def enumerate_rankings_dd(
     seen: set[Ranking] = set()
     for wit in witnesses:
         full = _lift(wit, free, fixed, d)
-        r = rank_from_point(full, candidates)
+        r = _rank_scaled(full, candidates, scale)
         if r not in seen:
             seen.add(r)
             out.append(RankingWithWitness(r, full))
     out.sort(key=lambda rw: rw.ranking)
     return out
+
+
+def _rank_scaled(point: SpatialPoint, candidates: Sequence[Candidate], scale: int) -> Ranking:
+    """The point's ranking, sorted on integers as in 1D: the point and the
+    candidates, whose common denominator is `scale`, are scaled by the lcm
+    of `scale` and the point's denominators.  A positive scale keeps every
+    distance order and tie, so the ranking is the unscaled point's."""
+    common = math.lcm(scale, *(x.denominator for x in point))
+    return rank_from_point(
+        tuple(x.numerator * (common // x.denominator) for x in point),
+        [_Scaled(tuple(x.numerator * (common // x.denominator) for x in c.position)) for c in candidates],
+    )
 
 
 def _lift(

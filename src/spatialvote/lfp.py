@@ -5,10 +5,11 @@ variables has a solution, and if so returns a rational witness.  Variables
 are eliminated from the highest index down to x_1; the witness is rebuilt by
 back-substitution, taking the midpoint of each variable's feasible interval
 (or an interior point offset by 1 when one side is open).  The last
-variable, x_0, is settled as one interval: every row left then bounds x_0
-alone, so instead of combining all P x N pairs of upper and lower bounds,
-back-substitution takes the tightest of each, and an empty interval means
-the system is infeasible.
+variable, x_0, is settled as one interval: eliminating x_1 leaves rows that
+bound x_0 alone, and back-substitution reads only the tightest upper and
+lower bound, so x_1's P x N pairs are folded straight into those two (a
+strict bound winning a tie) without building a row, and an empty interval
+means the system is infeasible.
 
 Elimination is fraction-free, in the spirit of Bareiss (Math. Comp. 22,
 1968): each input row is scaled by the lcm of its denominators to an
@@ -119,6 +120,20 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
             # decides the P x N pairs at once
             rows = keep
             break
+        if var == 1:
+            # fold into the tightest bounds on x_0 (see the module docstring)
+            ub = lb = None  # (a_0, b, strict) for a_0 * x_0 <= b (or <)
+            for a, b, strict in _x0_rows(keep, pos, neg):
+                if a > 0:  # b/a < b'/a' iff b*a' < b'*a, as a, a' > 0
+                    if ub is None or b * ub[0] < ub[1] * a or (strict and b * ub[0] == ub[1] * a):
+                        ub = (a, b, strict)
+                elif a < 0:  # b/a > b'/a' iff b*a' > b'*a, as a, a' < 0
+                    if lb is None or b * lb[0] > lb[1] * a or (strict and b * lb[0] == lb[1] * a):
+                        lb = (a, b, strict)
+                elif not _constant_ok(b, strict):
+                    return None
+            rows = [((r[0], r[1]), r[2]) for r in (ub, lb) if r]
+            continue
         combined = {}
         for pv, ps in pos:
             for nv, ns in neg:
@@ -181,6 +196,17 @@ def feasible(system: InequalitySystem) -> Optional[tuple[Fraction, ...]]:
     if not all(_holds(q.integer_row, W, den) for q in system.inequalities):
         raise SelfCheckFailed(f"witness {point} violates the system it certifies")
     return point
+
+
+def _x0_rows(keep, pos, neg):
+    """The rows on (x_0, x_1) left at x_1's elimination as (a_0, b, strict),
+    each bounding x_0 alone: the rows without x_1, then each P x N pair
+    combined so that x_1's coefficient cancels."""
+    for (a, _, b), strict in keep:
+        yield a, b, strict
+    for (p0, p1, pb), ps in pos:
+        for (n0, n1, nb), ns in neg:
+            yield p1 * n0 - n1 * p0, p1 * nb - n1 * pb, ps or ns
 
 
 def _holds(row: tuple[tuple[int, ...], bool], W: Sequence[int], den: int) -> bool:

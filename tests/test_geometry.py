@@ -4,7 +4,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -457,19 +457,29 @@ class TestSplitShortcuts:
     apply."""
 
     def test_matches_lfp_reference(self):
+        # the reference ranks each Fraction witness with model.rank_from_point,
+        # so this also checks the integer ranking, index tie-breaks included:
+        # witnesses on a bisector, and finer than the candidates' grid, occur
         rng = random.Random(1806)
-        seen = set()
-        for _ in range(300):
+        seen = Counter()
+        for _ in range(500):
             candidates, bounds, features = split_case(rng)
             point, point_features = point_box(candidates, bounds)
-            seen |= features | point_features
+            seen.update(features | point_features)
+            planes = bisectors(candidates)
+            scale = lcm(*(x.denominator for c in candidates for x in c.position))
             for box in (VoterBox("v", bounds), point):
-                assert repr(enumerate_rankings_dd(candidates, box)) == repr(
-                    reference_enumerate_rankings_dd(candidates, box)
-                )
+                out = enumerate_rankings_dd(candidates, box)
+                assert repr(out) == repr(reference_enumerate_rankings_dd(candidates, box))
+                for rw in out:
+                    seen["on a bisector"] += any(
+                        sum(a * x for a, x in zip(p.coeffs, rw.witness)) == p.constant for p in planes
+                    )
+                    seen["finer than the candidates"] += any(scale % x.denominator for x in rw.witness)
         wanted = {f"{k} free of d={d}" for d in (2, 3) for k in range(d + 1)}
         wanted |= {f"coincident, d={d}" for d in (2, 3)}
-        assert wanted | {"coincident", "missed", "touched"} <= seen
+        wanted |= {"coincident", "missed", "touched", "on a bisector", "finer than the candidates"}
+        assert all(seen[w] for w in wanted), seen
 
     @settings(max_examples=150, deadline=None)
     @given(

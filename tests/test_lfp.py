@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -155,6 +156,49 @@ def random_system(rng):
         coeffs = tuple(value() if rng.random() < 0.5 else Fraction(0) for _ in range(d))
         rows.append(LinearInequality(coeffs, value(), rng.random() < 0.5))
     return InequalitySystem(d, tuple(rows))
+
+
+def small_integer_system(rng):
+    """Up to 8 rows in d = 2..4 with coefficients in -3..3 (40% zero) and
+    half-integer constants, so bounds on x_0 often coincide; about 60%
+    feasible."""
+    d = rng.randint(2, 4)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        coeffs = tuple(Fraction(rng.randint(-3, 3)) if rng.random() < 0.6 else Fraction(0) for _ in range(d))
+        rows.append(LinearInequality(coeffs, Fraction(rng.randint(-4, 4), rng.choice((1, 2))), rng.random() < 0.5))
+    return InequalitySystem(d, tuple(rows))
+
+
+class TestX1Fold:
+    """Eliminating x_1 folds every row into the tightest upper and lower
+    bound on x_0, a strict bound winning a tie; verdicts and witnesses must
+    be those of the reference solver, which builds and back-substitutes
+    every row."""
+
+    def test_seeded_systems_match_reference(self, monkeypatch):
+        seen = Counter()
+        x0_rows = lfp._x0_rows
+
+        def record(keep, pos, neg):
+            rows = list(x0_rows(keep, pos, neg))
+            seen["one-sided x_1"] += bool(pos) != bool(neg)
+            seen["zero x_0 coefficient"] += any(a == 0 for a, _, _ in rows)
+            for upper in (True, False):
+                bounds = [(Fraction(b, a), strict) for a, b, strict in rows if a and (a > 0) == upper]
+                if bounds:
+                    tightest = (min if upper else max)(value for value, _ in bounds)
+                    seen["strict and nonstrict tie"] += len({s for v, s in bounds if v == tightest}) == 2
+            return iter(rows)
+
+        monkeypatch.setattr(lfp, "_x0_rows", record)
+        rng = random.Random(37)
+        for _ in range(20000):
+            system = small_integer_system(rng)
+            point = feasible(system)
+            assert point == reference_feasible(system)
+            seen["feasible"] += point is not None
+        assert min(seen.values()) > 50, seen
 
 
 coeff = st.integers(-4, 4).map(Fraction)
