@@ -21,10 +21,16 @@ F(k, t) routes and `oracle` on the exponential one; `oracle` adds `oracle`;
 `lfp`, loads on its first call: `faces` makes one in any dimension, the
 other commands only on a d >= 2 document, and `reduce-sched`, whose boxes
 have one free coordinate, never.
+
+Run as a program (`python -m spatialvote.cli`, or the installed
+`spatialvote`), the CLI enters through `run`, which calls `gc.freeze()`
+after `main` returns, so the full collections at exit skip every object the
+imports and the query left behind; `main` leaves the process as it was.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -479,5 +485,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The program's entry: `main`, then exit with its code."""
+    code = main()
+    gc.freeze()  # exit still flushes stdio and runs atexit handlers
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

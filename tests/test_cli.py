@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -781,6 +782,20 @@ def test_cli_start_up_avoids_heavy_imports():
     assert fresh_python(script).strip() == "[]"
 
 
+def run_as_program(argv, before="", after=""):
+    """A script that runs `argv` as `python -m spatialvote.cli` does, between
+    the lines `before` and `after` (which see the `SystemExit` code)."""
+    return (
+        f"import gc, runpy, sys\n{before}\n"
+        f"sys.argv = ['spatialvote', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('spatialvote.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"{after}\n"
+    )
+
+
 # The modules every command loads.  `lfp` loads on the first LFP call, which
 # `faces` makes in any dimension and the other commands only in d >= 2; `gen`
 # loads only under the `gen` command.
@@ -819,18 +834,50 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, command, modules
     m5 = write_doc(tmp_path, election_to_document(generate_election(4, 1, 5, 6)))
     d2 = write_doc(tmp_path, election_to_document(generate_election(5, 2, 4, 5)), "d2.json")
     argv = [arg.format(election=ELECTION, scheduling=SCHEDULING, m5=m5, d2=d2) for arg in command.split()]
-    script = (
-        "import runpy, sys\n"
-        f"sys.argv = ['spatialvote', *{argv!r}]\n"
-        "try:\n"
-        "    runpy.run_module('spatialvote.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('spatialvote.')))\n"
-    )
-    last = fresh_python(script).splitlines()[-1]
+    after = "print(code, sorted(m for m in sys.modules if m.startswith('spatialvote.')))"
+    last = fresh_python(run_as_program(argv, after=after)).splitlines()[-1]
     expected = sorted(f"spatialvote.{name}" for name in CORE_MODULES | modules)
     assert last == f"0 {expected}"
+
+
+def test_console_script_is_the_program_entry():
+    # read by regex, as tomllib is new in 3.11: the installed `spatialvote`
+    # calls what `python -m spatialvote.cli` calls
+    with open(os.path.join(HERE, "..", "pyproject.toml")) as f:
+        module, function = re.search(r'^spatialvote = "([\w.]+):(\w+)"$', f.read(), re.M).groups()
+    with open(cli.__file__) as f:
+        called = re.search(r'^if __name__ == "__main__":.*\n    (\w+)\(\)$', f.read(), re.M).group(1)
+    assert module == "spatialvote.cli" and getattr(cli, function) is getattr(cli, called) is cli.run
+
+
+def test_program_exit_freezes_and_still_runs_atexit():
+    # the exit's collections skip the frozen objects; handlers registered
+    # before the CLI ran still run after it, and the exit code holds
+    before = "import atexit\natexit.register(print, 'atexit ran')"
+    after = "print(code, gc.get_freeze_count() > 0)"
+    script = run_as_program(["pw", "--instance", ELECTION, "--rule", "plurality"], before, after)
+    assert fresh_python(script).splitlines()[-2:] == ["0 True", "atexit ran"]
+
+
+def test_program_output_matches_main(tmp_path, capsys):
+    # stdout written before the exit reaches the reader whole, also past a
+    # pipe buffer (the 2,000-voter `rankings`)
+    big = write_doc(tmp_path, election_to_document(generate_election(7, 1, 5, 2000)))
+    for argv in (
+        ["pw", "--instance", ELECTION, "--rule", "plurality", "--format", "json"],
+        ["nw", "--instance", ELECTION, "--rule", "borda"],
+        ["rankings", "--instance", big, "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert fresh_python(run_as_program(argv, after="sys.exit(code)")) == out, argv
+    assert len(out) > 1 << 16
+
+
+def test_main_does_not_freeze(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "pw", "--instance", ELECTION, "--rule", "plurality")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 # `gen` stdout at fixed seeds, recorded while the generators were defined

@@ -65,11 +65,12 @@ def test_oracle_stays_at_the_top_of_the_import_graph():
 
 def test_the_solver_and_the_generators_load_only_where_they_run():
     # a query loads `lfp` on its first LFP call and `gen` under the `gen`
-    # command (README, "Start-up"), so the modules every query loads import
-    # `lfp` only inside functions, and only `cli` imports `gen`, inside
-    # `cmd_gen`; `gen` never imports `cli`, which under `python -m
-    # spatialvote.cli` would run the command line's module a second time;
-    # and the solver imports neither the geometry that calls it nor `cli`
+    # command (README, "Start-up and exit"), so the modules every query
+    # loads import `lfp` only inside functions, and only `cli` imports
+    # `gen`, inside `cmd_gen`; `gen` never imports `cli`, which under
+    # `python -m spatialvote.cli` would run the command line's module a
+    # second time; and the solver imports neither the geometry that calls
+    # it nor `cli`
     paths = sorted(SRC.glob("*.py"))
     graph = {path.stem: _package_imports(path) for path in paths}
     top = {path.stem: _package_imports(path, in_functions=False) for path in paths}
